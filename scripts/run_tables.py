@@ -4,22 +4,18 @@ headline tables: per-type balance, sign composition (directed vs undirected)
 and the partial / non-partial / undirected comparison.
 
 Report files land in reports/<dataset>/; the console output is a compact
-summary.  Datasets are discovered by extension: *.tsv (tsv-sign),
+summary read back from those files.  Datasets are discovered by extension: *.tsv (tsv-sign),
 *.csv (csv-rating), *_matrix.txt (signed-matrix).
 
 Usage:
     python3 scripts/run_tables.py [--data data] [--out reports]
 """
 import argparse
+import json
 import sys
 from pathlib import Path
 
-from triadbalance import (build_graph, build_report, composition_directed,
-                          composition_undirected, load_edge_records, metrics,
-                          preprocess, project_undirected)
-from triadbalance.census import resolve_workers
 from triadbalance.cli import RunConfig, run
-from triadbalance.errors import UndefinedResultError
 from triadbalance.signstats import COMPOSITION_KEYS
 
 
@@ -36,44 +32,45 @@ def _discover(data_dir: Path):
 def summarize(path: Path, fmt: str, out_root: Path) -> None:
     name = path.stem
     print(f"\n=== {name} ({fmt}) ===")
-    config = RunConfig(input_path=str(path), input_format=fmt,
-                       out_dir=str(out_root / name))
-    status = run(config)
+    out_dir = out_root / name
+    status = run(RunConfig(input_path=str(path), input_format=fmt,
+                           out_dir=str(out_dir)))
     if status != 0:
         print(f"  run exited with status {status}; skipping summary")
         return
 
-    graph = preprocess(build_graph(load_edge_records(path, fmt)))
-    workers = resolve_workers(None)
-    try:
-        report = build_report(graph, workers=workers,
-                              undirected=project_undirected(graph))
-    except UndefinedResultError as exc:
-        print(f"  {exc}")
-        return
+    def load(report: str) -> dict:
+        return json.loads((out_dir / report).read_text(encoding="utf-8"))
+
+    balance = load("balance.json")
     print("  type    ratio   triads")
-    for entry in report.per_type:
-        shown = "  --" if entry.ratio is None else f"{entry.ratio:.2f}"
-        print(f"  {entry.type:<6}  {shown:>5}   {entry.triad_count}")
-    total = sum(e.triad_count for e in report.per_type)
-    print(f"  average {report.overall_type_mean:.2f}   {total}")
+    for entry in balance["per_type"]:
+        shown = "  --" if entry["ratio"] is None else f"{entry['ratio']:.2f}"
+        print(f"  {entry['type']:<6}  {shown:>5}   {entry['count']}")
+    total = sum(e["count"] for e in balance["per_type"])
+    print(f"  average {balance['overall_type_mean']:.2f}   {total}")
 
-    comp_d = composition_directed(graph, workers=workers)
-    comp_u = composition_undirected(project_undirected(graph))
-    keys = " ".join(f"{k}={comp_d.proportions[k]:.2f}" for k in COMPOSITION_KEYS)
-    print(f"  composition directed:   {keys}")
-    keys = " ".join(f"{k}={comp_u.proportions[k]:.2f}" for k in COMPOSITION_KEYS)
-    print(f"  composition undirected: {keys}")
+    composition = load("composition.json")
+    for basis in ("directed", "undirected"):
+        shares = composition[basis]["proportions"]
+        keys = " ".join(f"{k}={shares[k]:.2f}" for k in COMPOSITION_KEYS)
+        print(f"  composition {basis + ':':<12}{keys}")
 
-    t, b, i, r = report.undirected
-    np_ratio, np_b, np_i = report.nonpartial
-    print(f"  partial={report.overall_type_mean:.2f}  "
-          f"non-partial={np_ratio:.2f} ({np_b}/{np_i})  "
-          f"undirected={'--' if r is None else f'{r:.2f}'} ({b}/{i})")
+    compare = load("compare.json")
+    partial = compare["directed_partial"]["ratio"]
+    nonpartial = compare["directed_nonpartial"]
+    und = compare["undirected"]
+    r = und["ratio"]
+    print(f"  partial={partial:.2f}  "
+          f"non-partial={nonpartial['ratio']:.2f} "
+          f"({nonpartial['balanced']}/{nonpartial['imbalanced']})  "
+          f"undirected={'--' if r is None else f'{r:.2f}'} "
+          f"({und['balanced']}/{und['imbalanced']})")
 
-    m = metrics(graph)
-    print(f"  density={m.density:.2f} transitivity={m.transitivity:.2f} "
-          f"apl={m.avg_path_length:.2f} clustering={m.clustering_coefficient:.2f}")
+    m = load("metrics.json")
+    print(f"  density={m['density']:.2f} transitivity={m['transitivity']:.2f} "
+          f"apl={m['avg_path_length']:.2f} "
+          f"clustering={m['clustering_coefficient']:.2f}")
 
 
 def main() -> int:

@@ -8,7 +8,8 @@ three modes: the type-mean (unweighted mean over the per-type ratios of the
 types that occur), the triad-mean (mean of per-triad ratios), and the
 non-partial ratio (fraction of triads that are completely balanced).  The
 undirected counterpart scores each triangle of the projected graph by the
-product of its edge signs.
+product of its edge signs.  Every figure is a view of the tallies of one
+triangle pass (`census.scan_triads`).
 """
 from __future__ import annotations
 
@@ -16,10 +17,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .census import (CLASSIFICATIONS, TRANSITIVE_TYPES, Triad, Triple,
-                     scan_triads, transitive_triples)
+from .census import (CLASSIFICATIONS, TRANSITIVE_TYPES, TRIPLES_PER_TYPE,
+                     Triad, TriadTallies, Triple, scan_triads,
+                     transitive_triples)
 from .errors import UndefinedResultError
-from .graphs import SignedDigraph, SignedGraph
+from .graphs import SignedDigraph
 
 BALANCE_MODES = ("type-mean", "triad-mean")
 
@@ -70,16 +72,15 @@ def type_balance(graph: SignedDigraph, workers: int = 1) -> list[TypeBalance]:
     triple-weighted ratio coincides with the mean of per-triad ratios
     within the type.
     """
-    tallies = scan_triads(graph, workers=workers, transitive_only=True)
-    return _type_balance_from_tallies(tallies)
+    return _type_balance_from_tallies(scan_triads(graph, workers=workers))
 
 
-def _type_balance_from_tallies(tallies) -> list[TypeBalance]:
+def _type_balance_from_tallies(tallies: TriadTallies) -> list[TypeBalance]:
     result = []
     for cls in TRANSITIVE_TYPES:
         count = tallies.type_triads.get(cls, 0)
         balanced = tallies.type_balanced.get(cls, 0)
-        total = tallies.type_triples.get(cls, 0)
+        total = count * TRIPLES_PER_TYPE[cls]
         ratio = balanced / total if total else None
         result.append(TypeBalance(cls, count, balanced, total, ratio))
     return result
@@ -108,13 +109,10 @@ def overall_balance(graph: SignedDigraph, mode: str = "type-mean",
     """
     if mode not in BALANCE_MODES:
         raise ValueError(f"unknown balance mode {mode!r}")
-    tallies = scan_triads(graph, workers=workers, transitive_only=True)
-    if tallies.transitive_triads == 0:
-        raise UndefinedResultError("no transitive triads: balance undefined")
+    report = build_report(graph, workers=workers)
     if mode == "type-mean":
-        return aggregate_type_mean(
-            (tb.ratio, tb.triad_count) for tb in _type_balance_from_tallies(tallies))
-    return tallies.triad_ratio_sum / tallies.transitive_triads
+        return report.overall_type_mean
+    return report.overall_triad_mean
 
 
 def nonpartial_balance(graph: SignedDigraph,
@@ -123,28 +121,24 @@ def nonpartial_balance(graph: SignedDigraph,
 
     Returns (ratio, balanced_count, imbalanced_count).
     """
-    tallies = scan_triads(graph, workers=workers, transitive_only=True)
-    total = tallies.transitive_triads
-    if total == 0:
-        raise UndefinedResultError("no transitive triads: balance undefined")
-    balanced = tallies.classification["completely_balanced"]
-    return balanced / total, balanced, total - balanced
+    return build_report(graph, workers=workers).nonpartial
 
 
-def undirected_balance(graph: SignedGraph) -> tuple[int, int, int, float | None]:
-    """Triangle balance on the undirected projection.
+def undirected_balance(graph: SignedDigraph) -> tuple[int, int, int, float | None]:
+    """Triangle balance on the undirected projection of the digraph.
 
     A triangle is balanced when the product of its three edge signs is
     positive.  Returns (triangle_count, balanced, imbalanced, ratio); the
-    ratio is None when the graph has no triangles.
+    ratio is None when the projection has no triangles.
     """
-    sign = graph.sign
-    balanced = 0
-    total = 0
-    for i, j, k in graph.triangles():
-        total += 1
-        if sign[(i, j)] * sign[(i, k)] * sign[(j, k)] > 0:
-            balanced += 1
+    return undirected_from_tallies(scan_triads(graph))
+
+
+def undirected_from_tallies(tallies: TriadTallies) -> tuple[int, int, int, float | None]:
+    """(triangle_count, balanced, imbalanced, ratio) of the projection."""
+    und = tallies.undirected
+    total = sum(und.values())
+    balanced = und["+++"] + und["+--"]
     ratio = balanced / total if total else None
     return total, balanced, total - balanced, ratio
 
@@ -193,24 +187,31 @@ class BalanceReport:
 
 
 def build_report(graph: SignedDigraph, workers: int = 1,
-                 undirected: SignedGraph | None = None) -> BalanceReport:
-    """Single-pass balance report; raises when no transitive triad exists."""
-    tallies = scan_triads(graph, workers=workers, transitive_only=True)
-    if tallies.transitive_triads == 0:
+                 undirected: bool = False) -> BalanceReport:
+    """Single-pass balance report, with the undirected figures when
+    `undirected` is set; raises when no transitive triad exists."""
+    return report_from_tallies(scan_triads(graph, workers=workers), undirected)
+
+
+def report_from_tallies(tallies: TriadTallies,
+                        undirected: bool = False) -> BalanceReport:
+    """The balance report of one triangle pass; see `build_report`."""
+    transitive = sum(tallies.type_triads.values())
+    if transitive == 0:
         raise UndefinedResultError("no transitive triads: balance undefined")
     per_type = _type_balance_from_tallies(tallies)
     type_mean = aggregate_type_mean((tb.ratio, tb.triad_count) for tb in per_type)
-    triad_mean = tallies.triad_ratio_sum / tallies.transitive_triads
+    # every triad of a type has the same number of triples, so the per-triad
+    # ratios of a type sum to its balanced triples over that number
+    triad_mean = math.fsum(
+        tallies.type_balanced.get(cls, 0) / TRIPLES_PER_TYPE[cls]
+        for cls in TRANSITIVE_TYPES) / transitive
     balanced = tallies.classification["completely_balanced"]
-    nonpartial = (balanced / tallies.transitive_triads, balanced,
-                  tallies.transitive_triads - balanced)
-    report = BalanceReport(
+    return BalanceReport(
         per_type=per_type,
         overall_type_mean=type_mean,
         overall_triad_mean=triad_mean,
-        nonpartial=nonpartial,
+        nonpartial=(balanced / transitive, balanced, transitive - balanced),
         classification_counts={c: tallies.classification[c] for c in CLASSIFICATIONS},
+        undirected=undirected_from_tallies(tallies) if undirected else None,
     )
-    if undirected is not None:
-        report.undirected = undirected_balance(undirected)
-    return report

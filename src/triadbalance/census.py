@@ -1,12 +1,12 @@
 """Triad census for signed digraphs.
 
-Every connected triad (three nodes with at least two non-null dyads) is
-enumerated neighbourhood-first: for each node u taken as the smallest index
-of the triad, candidate pairs come from u's adjacency set and from the
-adjacency sets of its neighbours.  The three disconnected census classes
-(003, 012, 102) are never enumerated; they are recovered arithmetically by
-complement counting, which keeps the work linear in the number of connected
-triads.
+One pass visits the triangles (triads whose three dyads are all connected),
+taking each node u as the smallest index and intersecting the adjacency
+sets of its higher neighbours; it feeds every census, balance, composition
+and comparison figure.  The six open classes have exactly one centre node,
+so they follow from per-node degree counts minus the centre wedges inside
+the triangles (Moody 1998; Batagelj & Mrvar 2001), and the three
+disconnected classes (003, 012, 102) from complement counting.
 
 Classification uses the 16 Mutual/Asymmetric/Null isomorphism classes.  The
 four transitive classes (030T, 120D, 120U, 300) carry 1, 2, 2 and 6 ordered
@@ -123,6 +123,13 @@ _CODE_TRIPLES = tuple(
     for code in range(64))
 _TRANSITIVE_SET = frozenset(TRANSITIVE_TYPES)
 
+#: closed class -> classes of its three centre wedges: clearing the dyad
+#: opposite one node leaves the open triad centred on that node
+_OPPOSITE_DYAD = (0b110000, 0b001100, 0b000011)
+_CENTRE_WEDGES = {
+    _CODE_CLASS[code]: tuple(_CODE_CLASS[code & ~mask] for mask in _OPPOSITE_DYAD)
+    for code in range(64) if all(code & mask for mask in _OPPOSITE_DYAD)}
+
 
 def _dyad_code(out: list[set[int]], i: int, j: int, k: int) -> int:
     return ((j in out[i]) | ((i in out[j]) << 1) | ((k in out[i]) << 2)
@@ -196,122 +203,114 @@ def transitive_triples(graph: SignedDigraph, triad: Triad) -> list[Triple]:
 
 @dataclass
 class TriadTallies:
-    """Mergeable aggregate of one enumeration pass.
+    """Mergeable, all-integer aggregate of one pass over the triangles.
 
-    `census` holds only the enumerated (connected) classes; with
-    `transitive_only` scans it is restricted further to triangle classes and
-    must not be used for a full census.
+    `census` counts triangles per closed class only (see
+    `census_from_tallies`).  `undirected` counts the triangles of the
+    undirected projection, which have no reciprocal pair of opposite signs,
+    by sign multiset; `undirected_only` lists those without a transitive
+    triple as sorted node-id triples.
     """
 
     census: dict = field(default_factory=dict)
     type_triads: dict = field(default_factory=dict)
     type_balanced: dict = field(default_factory=dict)
-    type_triples: dict = field(default_factory=dict)
     classification: dict = field(default_factory=lambda: {c: 0 for c in CLASSIFICATIONS})
     composition: dict = field(default_factory=lambda: {c: 0 for c in _COMPOSITIONS})
-    triad_ratio_sum: float = 0.0
-    transitive_triads: int = 0
+    undirected: dict = field(default_factory=lambda: {c: 0 for c in _COMPOSITIONS})
+    undirected_only: list = field(default_factory=list)
 
     def merge(self, other: "TriadTallies") -> "TriadTallies":
-        for name in ("census", "type_triads", "type_balanced", "type_triples",
-                     "classification", "composition"):
+        for name in ("census", "type_triads", "type_balanced",
+                     "classification", "composition", "undirected"):
             mine, theirs = getattr(self, name), getattr(other, name)
             for key, val in theirs.items():
                 mine[key] = mine.get(key, 0) + val
-        self.triad_ratio_sum += other.triad_ratio_sum
-        self.transitive_triads += other.transitive_triads
+        self.undirected_only.extend(other.undirected_only)
         return self
 
 
-def _scan_range(graph: SignedDigraph, start: int, step: int,
-                transitive_only: bool) -> TriadTallies:
+def _projected_negatives(sign: dict, u: int, v: int, w: int) -> int | None:
+    """Negative sides of the triangle {u, v, w} in the undirected projection,
+    or None when a reciprocal pair with opposite signs cancels a side."""
+    neg = 0
+    for a, b in ((u, v), (u, w), (v, w)):
+        s = sign.get((a, b)) or sign[(b, a)]
+        if sign.get((b, a), s) != s:
+            return None
+        neg += s < 0
+    return neg
+
+
+def _scan_range(graph: SignedDigraph, start: int, step: int) -> TriadTallies:
     census: dict[str, int] = {}
     type_triads: dict[str, int] = {}
     type_balanced: dict[str, int] = {}
-    type_triples: dict[str, int] = {}
     comp = [0, 0, 0, 0]          # indexed by number of negative signs
+    und = [0, 0, 0, 0]           # likewise, over projected triangles
     cls_counts = [0, 0, 0]       # completely / partially / completely-imbalanced
-    ratio_sum = 0.0
-    transitive = 0
-    adj, out, sign = graph.adj, graph.out, graph.sign
+    undirected_only = []
+    adj, out, sign, ids = graph.adj, graph.out, graph.sign, graph.ids
     code_class, code_triples = _CODE_CLASS, _CODE_TRIPLES
 
-    def visit(u: int, v: int, w: int) -> None:
-        nonlocal ratio_sum, transitive
-        code = ((v in out[u]) | ((u in out[v]) << 1) | ((w in out[u]) << 2)
-                | ((u in out[w]) << 3) | ((w in out[v]) << 4)
-                | ((v in out[w]) << 5))
-        cls = code_class[code]
-        census[cls] = census.get(cls, 0) + 1
-        perms = code_triples[code]
-        if not perms:
-            return
-        nodes = (u, v, w)
-        balanced = 0
-        for s, m, t in perms:
-            si, mi, ti = nodes[s], nodes[m], nodes[t]
-            neg = ((sign[(si, mi)] < 0) + (sign[(mi, ti)] < 0)
-                   + (sign[(si, ti)] < 0))
-            if not neg & 1:
-                balanced += 1
-            comp[neg] += 1
-        total = len(perms)
-        type_triads[cls] = type_triads.get(cls, 0) + 1
-        type_balanced[cls] = type_balanced.get(cls, 0) + balanced
-        type_triples[cls] = type_triples.get(cls, 0) + total
-        ratio_sum += balanced / total
-        transitive += 1
-        if balanced == total:
-            cls_counts[0] += 1
-        elif balanced:
-            cls_counts[1] += 1
-        else:
-            cls_counts[2] += 1
-
     for u in range(start, graph.n_nodes, step):
-        au = adj[u]
-        higher = sorted(x for x in au if x > u)
-        if transitive_only:
-            hset = set(higher)
-            for v in higher:
-                for w in adj[v] & hset:
-                    if w > v:
-                        visit(u, v, w)
-        else:
-            for pos, v in enumerate(higher):
-                for w in higher[pos + 1:]:
-                    visit(u, v, w)
-                for w in adj[v]:
-                    if w > u and w not in au:
-                        if v < w:
-                            visit(u, v, w)
-                        else:
-                            visit(u, w, v)
+        higher = {x for x in adj[u] if x > u}
+        for v in higher:
+            for w in adj[v] & higher:
+                if w < v:
+                    continue
+                code = ((v in out[u]) | ((u in out[v]) << 1)
+                        | ((w in out[u]) << 2) | ((u in out[w]) << 3)
+                        | ((w in out[v]) << 4) | ((v in out[w]) << 5))
+                cls = code_class[code]
+                census[cls] = census.get(cls, 0) + 1
+                perms = code_triples[code]
+                projected = _projected_negatives(sign, u, v, w)
+                if projected is not None:
+                    und[projected] += 1
+                    if not perms:
+                        undirected_only.append((ids[u], ids[v], ids[w]))
+                if not perms:
+                    continue
+                nodes = (u, v, w)
+                balanced = 0
+                for s, m, t in perms:
+                    si, mi, ti = nodes[s], nodes[m], nodes[t]
+                    neg = ((sign[(si, mi)] < 0) + (sign[(mi, ti)] < 0)
+                           + (sign[(si, ti)] < 0))
+                    if not neg & 1:
+                        balanced += 1
+                    comp[neg] += 1
+                type_triads[cls] = type_triads.get(cls, 0) + 1
+                type_balanced[cls] = type_balanced.get(cls, 0) + balanced
+                if balanced == len(perms):
+                    cls_counts[0] += 1
+                elif balanced:
+                    cls_counts[1] += 1
+                else:
+                    cls_counts[2] += 1
     return TriadTallies(
         census=census,
         type_triads=type_triads,
         type_balanced=type_balanced,
-        type_triples=type_triples,
         classification=dict(zip(CLASSIFICATIONS, cls_counts)),
         composition=dict(zip(_COMPOSITIONS, comp)),
-        triad_ratio_sum=ratio_sum,
-        transitive_triads=transitive,
+        undirected=dict(zip(_COMPOSITIONS, und)),
+        undirected_only=undirected_only,
     )
 
 
 _POOL_GRAPH: SignedDigraph | None = None
-_POOL_MODE: bool = False
 
 
-def _pool_init(graph: SignedDigraph, transitive_only: bool) -> None:
-    global _POOL_GRAPH, _POOL_MODE
+def _pool_init(graph: SignedDigraph) -> None:
+    global _POOL_GRAPH
     _POOL_GRAPH = graph
-    _POOL_MODE = transitive_only
 
 
 def _pool_scan(args: tuple[int, int]) -> TriadTallies:
     start, step = args
-    return _scan_range(_POOL_GRAPH, start, step, _POOL_MODE)
+    return _scan_range(_POOL_GRAPH, start, step)
 
 
 def _fork_available() -> bool:
@@ -323,8 +322,13 @@ def _fork_available() -> bool:
 
 def resolve_workers(requested: int | None = None) -> int:
     """Worker budget: the explicit request or the CPU count, capped by the
-    BALANCE_THREADS environment variable."""
-    workers = requested if requested and requested > 0 else (os.cpu_count() or 1)
+    CPUs this process may run on and by the BALANCE_THREADS environment
+    variable."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        cpus = os.cpu_count() or 1
+    workers = min(requested, cpus) if requested and requested > 0 else cpus
     cap = os.environ.get("BALANCE_THREADS")
     if cap:
         try:
@@ -334,22 +338,23 @@ def resolve_workers(requested: int | None = None) -> int:
     return max(1, workers)
 
 
-def scan_triads(graph: SignedDigraph, workers: int = 1,
-                transitive_only: bool = False) -> TriadTallies:
-    """One full enumeration pass, optionally partitioned over worker processes.
+def scan_triads(graph: SignedDigraph, workers: int = 1) -> TriadTallies:
+    """One pass over the triangles, optionally partitioned over worker
+    processes.
 
     Pivot nodes are distributed round-robin; partial tallies merge by
-    summation, so results are identical for any worker count.
+    summation and `undirected_only` is sorted, so results are identical for
+    any worker count.
     """
+    global _POOL_GRAPH
     workers = resolve_workers(workers)
-    if workers == 1 or graph.n_nodes < 4 * workers:
-        return _scan_range(graph, 0, 1, transitive_only)
-    global _POOL_GRAPH, _POOL_MODE
     chunks = [(k, workers) for k in range(workers)]
-    if _fork_available():
+    if workers == 1 or graph.n_nodes < 4 * workers:
+        parts = [_scan_range(graph, 0, 1)]
+    elif _fork_available():
         # forked children inherit the graph; no per-worker pickling
         ctx = multiprocessing.get_context("fork")
-        _POOL_GRAPH, _POOL_MODE = graph, transitive_only
+        _POOL_GRAPH = graph
         try:
             with ctx.Pool(workers) as pool:
                 parts = pool.map(_pool_scan, chunks)
@@ -358,11 +363,12 @@ def scan_triads(graph: SignedDigraph, workers: int = 1,
     else:
         ctx = multiprocessing.get_context()
         with ctx.Pool(workers, initializer=_pool_init,
-                      initargs=(graph, transitive_only)) as pool:
+                      initargs=(graph,)) as pool:
             parts = pool.map(_pool_scan, chunks)
     merged = TriadTallies()
     for part in parts:
         merged.merge(part)
+    merged.undirected_only.sort()
     return merged
 
 
@@ -395,19 +401,36 @@ class CensusTable:
         return [(cls, self.counts[cls]) for cls in TRIAD_TYPES]
 
 
-def census(graph: SignedDigraph, workers: int = 1) -> CensusTable:
-    """Full 16-class census.
+def census_from_tallies(graph: SignedDigraph,
+                        tallies: TriadTallies) -> CensusTable:
+    """Full 16-class census from one triangle pass.
 
-    Connected classes come from the enumeration scan; 012 and 102 follow
-    from the fact that every dyad sits in n-2 triads, minus its appearances
-    in enumerated triads (each class has a fixed dyad make-up); 003 is the
-    complement up to C(n, 3).
+    Closed classes are the pass's triangle counts.  An open class counts,
+    around every node, the pairs of out-only (o), in-only (i) or mutual (m)
+    neighbours of its kind, minus the centre wedges inside the triangles.
+    012 and 102 follow from the fact that every dyad sits in n-2 triads,
+    minus its appearances in connected triads (each class has a fixed dyad
+    make-up); 003 is the complement up to C(n, 3).
     """
-    tallies = scan_triads(graph, workers=workers)
     counts = {cls: 0 for cls in TRIAD_TYPES}
     counts.update(tallies.census)
     n = graph.n_nodes
-    mutual = sum(1 for (u, v) in graph.sign if u < v and (v, u) in graph.sign)
+    mutual = 0
+    for u in range(n):
+        m = len(graph.out[u] & graph.inn[u])
+        o = len(graph.out[u]) - m
+        i = len(graph.inn[u]) - m
+        mutual += m
+        counts["021D"] += comb(o, 2)
+        counts["021U"] += comb(i, 2)
+        counts["021C"] += o * i
+        counts["111U"] += m * o
+        counts["111D"] += m * i
+        counts["201"] += comb(m, 2)
+    for closed, wedges in _CENTRE_WEDGES.items():
+        for wedge in wedges:
+            counts[wedge] -= counts[closed]
+    mutual //= 2
     asym = graph.n_edges - 2 * mutual
     used_m = sum(counts[cls] * _DYADS[cls][0] for cls in TRIAD_TYPES)
     used_a = sum(counts[cls] * _DYADS[cls][1] for cls in TRIAD_TYPES)
@@ -415,3 +438,8 @@ def census(graph: SignedDigraph, workers: int = 1) -> CensusTable:
     counts["012"] = asym * (n - 2) - used_a
     counts["003"] = comb(n, 3) - sum(counts.values())
     return CensusTable(counts, n_nodes=n)
+
+
+def census(graph: SignedDigraph, workers: int = 1) -> CensusTable:
+    """Full 16-class census; see `census_from_tallies`."""
+    return census_from_tallies(graph, scan_triads(graph, workers=workers))

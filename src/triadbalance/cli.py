@@ -20,12 +20,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, balance, oracle, signstats
-from .census import (TRANSITIVE_TYPES, census as census_op, classify_man,
-                     resolve_workers, scan_triads)
+from .census import (TriadTallies, census_from_tallies, resolve_workers,
+                     scan_triads)
 from .errors import FormatError, ParseError, UndefinedResultError
 from .graphs import (INPUT_FORMATS, PreprocessConfig, SignedDigraph,
                      build_graph, cancelled_pairs, dump_tsv,
-                     load_edge_records, preprocess, project_undirected)
+                     load_edge_records, preprocess)
 
 ANALYSES = ("census", "balance", "composition", "metrics", "undirected-compare")
 
@@ -88,18 +88,16 @@ def _load_preprocessed(config: RunConfig) -> tuple[SignedDigraph, SignedDigraph,
 def compare_report(graph: SignedDigraph, workers: int = 1) -> dict:
     """Side-by-side directed-partial / directed-non-partial / undirected
     figures, plus the projection's cancellation and inflation artefacts."""
-    report = balance.build_report(graph, workers=workers)
-    projected = project_undirected(graph)
-    und = balance.undirected_balance(projected)
+    return compare_from_tallies(graph, scan_triads(graph, workers=workers))
 
-    # every projected triangle has all three dyads connected in the digraph,
-    # so it maps onto a digraph triad whose class may or may not be transitive
-    undirected_only = []
-    for i, j, k in projected.triangles():
-        tri = (projected.ids[i], projected.ids[j], projected.ids[k])
-        if classify_man(graph, *tri) not in TRANSITIVE_TYPES:
-            undirected_only.append(list(tri))
 
+def compare_from_tallies(graph: SignedDigraph, tallies: TriadTallies) -> dict:
+    """The comparison of one triangle pass; see `compare_report`."""
+    report = balance.report_from_tallies(tallies)
+    und = balance.undirected_from_tallies(tallies)
+    # projected triangles are the digraph's triangles without a cancelled
+    # pair; those of a non-transitive class are inflation by the projection
+    undirected_only = [list(tri) for tri in tallies.undirected_only]
     cancelled = [list(p) for p in cancelled_pairs(graph)]
     return {
         "directed_partial": {
@@ -118,7 +116,7 @@ def compare_report(graph: SignedDigraph, workers: int = 1) -> dict:
             "ratio": und[3],
         },
         "cancelled_edges": cancelled,
-        "undirected_only_triangles": sorted(undirected_only),
+        "undirected_only_triangles": undirected_only,
         "identical_realizations": not cancelled and not undirected_only,
     }
 
@@ -141,8 +139,68 @@ def _compare_csv_rows(doc: dict) -> list:
     return [header, row]
 
 
+def _reports(config: RunConfig, graph: SignedDigraph,
+             workers: int) -> dict[str, object]:
+    """Report file name -> JSON document or CSV rows, for every selected
+    analysis and emit format.  Raises UndefinedResultError when a selected
+    figure is undefined, such as balance without transitive triads."""
+    analyses = set(config.analyses)
+    docs: dict[str, tuple[dict, list]] = {}
+    tallies = (scan_triads(graph, workers=workers)
+               if analyses - {"metrics"} else None)
+
+    if "census" in analyses:
+        table = census_from_tallies(graph, tallies)
+        docs["census"] = (
+            {"n_nodes": table.n_nodes,
+             "include_disconnected": table.include_disconnected,
+             "counts": table.counts},
+            [["triad_type", "count"]] + [list(r) for r in table.to_csv_rows()])
+
+    if "balance" in analyses:
+        report = balance.report_from_tallies(
+            tallies, undirected="undirected-compare" in analyses)
+        doc = report.to_json_dict()
+        doc["mode"] = config.balance_mode
+        doc["overall_balance"] = (report.overall_type_mean
+                                  if config.balance_mode == "type-mean"
+                                  else report.overall_triad_mean)
+        docs["balance"] = (doc, report.to_csv_rows())
+
+    if "composition" in analyses:
+        table = signstats.composition_from_tallies(tallies)
+        und_table = signstats.undirected_composition_from_tallies(tallies)
+        name = Path(config.input_path).stem
+        docs["composition"] = (
+            {"network": name,
+             "directed": table.to_json_dict(),
+             "undirected": und_table.to_json_dict()},
+            [["network", "basis", "ppp", "pnn", "ppn", "nnn", "total"],
+             table.to_csv_row(name), und_table.to_csv_row(name)])
+
+    if "metrics" in analyses:
+        measured = signstats.metrics(graph)
+        docs["metrics"] = (measured.to_json_dict(), measured.to_csv_rows())
+
+    if "undirected-compare" in analyses:
+        doc = compare_from_tallies(graph, tallies)
+        docs["compare"] = (doc, _compare_csv_rows(doc))
+
+    reports: dict[str, object] = {}
+    for stem, (doc, rows) in docs.items():
+        if "json" in config.emit:
+            reports[f"{stem}.json"] = doc
+        if "csv" in config.emit:
+            reports[f"{stem}.csv"] = rows
+    return reports
+
+
 def run(config: RunConfig) -> int:
-    """Execute the selected analyses and write one report file per analysis."""
+    """Execute the selected analyses and write one report file per analysis.
+
+    Every report is computed before the first file is written, so a run
+    that fails leaves no report directory behind it.
+    """
     try:
         config.validate()
     except ValueError as exc:
@@ -154,9 +212,21 @@ def run(config: RunConfig) -> int:
         return EXIT_INPUT
     try:
         built, pre, n_records = _load_preprocessed(config)
+        input_sha256 = _sha256(config.input_path)
     except (ParseError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (UnicodeDecodeError, OSError) as exc:
+        print(f"error: cannot read input {config.input_path}: {exc}",
+              file=sys.stderr)
+        return EXIT_INPUT
+
+    workers = resolve_workers(config.workers)
+    try:
+        reports = _reports(config, pre, workers)
+    except UndefinedResultError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_TRIADS
 
     out_dir = Path(config.out_dir)
     try:
@@ -165,91 +235,12 @@ def run(config: RunConfig) -> int:
         print(f"error: cannot create output directory {out_dir}: {exc}",
               file=sys.stderr)
         return EXIT_INPUT
-    workers = resolve_workers(config.workers)
-    emit_json = "json" in config.emit
-    emit_csv = "csv" in config.emit
-    written: list[str] = []
-
     dump_tsv(pre, out_dir / "graph.tsv")
-    written.append("graph.tsv")
-
-    needs_balance = {"balance", "composition", "undirected-compare"} \
-        & set(config.analyses)
-    tallies = None
-    if needs_balance:
-        tallies = scan_triads(pre, workers=workers, transitive_only=True)
-        if "balance" in config.analyses or "undirected-compare" in config.analyses:
-            if tallies.transitive_triads == 0:
-                print("error: the preprocessed graph contains no transitive "
-                      "triads; balance is undefined", file=sys.stderr)
-                return EXIT_NO_TRIADS
-
-    if "census" in config.analyses:
-        table = census_op(pre, workers=workers)
-        if emit_csv:
-            _write_csv(out_dir / "census.csv",
-                       [["triad_type", "count"]] + [list(r) for r in table.to_csv_rows()])
-            written.append("census.csv")
-        if emit_json:
-            _write_json(out_dir / "census.json",
-                        {"n_nodes": table.n_nodes,
-                         "include_disconnected": table.include_disconnected,
-                         "counts": table.counts})
-            written.append("census.json")
-
-    if "balance" in config.analyses:
-        projected = (project_undirected(pre)
-                     if "undirected-compare" in config.analyses else None)
-        report = balance.build_report(pre, workers=workers, undirected=projected)
-        doc = report.to_json_dict()
-        doc["mode"] = config.balance_mode
-        doc["overall_balance"] = (report.overall_type_mean
-                                  if config.balance_mode == "type-mean"
-                                  else report.overall_triad_mean)
-        if emit_json:
-            _write_json(out_dir / "balance.json", doc)
-            written.append("balance.json")
-        if emit_csv:
-            _write_csv(out_dir / "balance.csv", report.to_csv_rows())
-            written.append("balance.csv")
-
-    if "composition" in config.analyses:
-        table = signstats.composition_from_tallies(tallies)
-        und_table = signstats.composition_undirected(project_undirected(pre))
-        name = Path(config.input_path).stem
-        if emit_csv:
-            rows = [["network", "basis", "ppp", "pnn", "ppn", "nnn", "total"],
-                    table.to_csv_row(name), und_table.to_csv_row(name)]
-            _write_csv(out_dir / "composition.csv", rows)
-            written.append("composition.csv")
-        if emit_json:
-            _write_json(out_dir / "composition.json",
-                        {"network": name,
-                         "directed": table.to_json_dict(),
-                         "undirected": und_table.to_json_dict()})
-            written.append("composition.json")
-
-    if "metrics" in config.analyses:
-        try:
-            measured = signstats.metrics(pre)
-        except UndefinedResultError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NO_TRIADS
-        if emit_json:
-            _write_json(out_dir / "metrics.json", measured.to_json_dict())
-            written.append("metrics.json")
-        if emit_csv:
-            _write_csv(out_dir / "metrics.csv", measured.to_csv_rows())
-            written.append("metrics.csv")
-
-    if "undirected-compare" in config.analyses:
-        doc = compare_report(pre, workers=workers)
-        if emit_json:
-            _write_json(out_dir / "compare.json", doc)
-            written.append("compare.json")
-        if emit_csv:
-            _write_csv(out_dir / "compare.csv", _compare_csv_rows(doc))
-            written.append("compare.csv")
+    for name, payload in reports.items():
+        if name.endswith(".json"):
+            _write_json(out_dir / name, payload)
+        else:
+            _write_csv(out_dir / name, payload)
 
     manifest = {
         "tool": "triadbalance",
@@ -257,7 +248,7 @@ def run(config: RunConfig) -> int:
         "created": datetime.now(timezone.utc).isoformat(),
         "input": {
             "path": os.path.abspath(config.input_path),
-            "sha256": _sha256(config.input_path),
+            "sha256": input_sha256,
             "format": config.input_format,
             "records": n_records,
         },
@@ -275,16 +266,10 @@ def run(config: RunConfig) -> int:
             "before": {"nodes": built.n_nodes, "edges": built.n_edges},
             "after": {"nodes": pre.n_nodes, "edges": pre.n_edges},
         },
-        "reports": sorted(written),
+        "reports": sorted(["graph.tsv", *reports]),
     }
     _write_json(out_dir / "manifest.json", manifest)
     return EXIT_OK
-
-
-def compare(config: RunConfig) -> int:
-    """Run only the directed-vs-undirected comparison."""
-    config.analyses = ("undirected-compare",)
-    return run(config)
 
 
 # -- argument parsing ---------------------------------------------------------

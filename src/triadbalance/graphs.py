@@ -196,18 +196,6 @@ class SignedGraph:
         for (ui, vi) in sorted(self.sign):
             yield self.ids[ui], self.ids[vi], self.sign[(ui, vi)]
 
-    def triangles(self) -> Iterator[tuple[int, int, int]]:
-        """All closed triangles as index triples i < j < k, in lexicographic
-        order.  Neighbourhood-intersection based, never the cubic scan."""
-        adj = self.adj
-        for i in range(len(self.ids)):
-            higher = sorted(x for x in adj[i] if x > i)
-            hset = set(higher)
-            for j in higher:
-                for k in sorted(adj[j] & hset):
-                    if k > j:
-                        yield (i, j, k)
-
     def __repr__(self):
         return f"SignedGraph(n={self.n_nodes}, m={self.n_edges})"
 
@@ -355,13 +343,14 @@ def weak_components(graph: SignedDigraph) -> list[set[int]]:
     return components
 
 
-def _giant_component(graph: SignedDigraph) -> set[int]:
-    comps = weak_components(graph)
-    if not comps:
+def giant_component(graph: SignedDigraph,
+                    components: list[set[int]]) -> set[int]:
+    """The largest of the graph's weak components; size-ties are broken by
+    the smallest minimum node id."""
+    if not components:
         return set()
-    best = max(len(c) for c in comps)
-    # size-ties broken by the smallest minimum node id
-    return min((c for c in comps if len(c) == best),
+    best = max(len(c) for c in components)
+    return min((c for c in components if len(c) == best),
                key=lambda c: min(graph.ids[i] for i in c))
 
 
@@ -404,11 +393,11 @@ def preprocess(graph: SignedDigraph,
     config = config or PreprocessConfig()
     g = graph
     if config.keep_component == "giant" and g.n_nodes:
-        g = g.subgraph(_giant_component(g))
+        g = g.subgraph(giant_component(g, weak_components(g)))
     if config.prune_pendants:
         g = _prune_pendants(g)
         if config.keep_component == "giant" and g.n_nodes:
-            g = g.subgraph(_giant_component(g))
+            g = g.subgraph(giant_component(g, weak_components(g)))
     return g
 
 

@@ -17,8 +17,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from .census import TriadTallies, scan_triads
 from .errors import UndefinedResultError
-from .graphs import (PreprocessConfig, SignedDigraph, SignedGraph, preprocess,
-                     weak_components)
+from .graphs import SignedDigraph, giant_component, weak_components
 
 #: export order for composition columns
 COMPOSITION_KEYS = ("+++", "+--", "++-", "---")
@@ -66,21 +65,19 @@ def composition_from_tallies(tallies: TriadTallies) -> CompositionTable:
     return _table(dict(tallies.composition), "directed-triples")
 
 
+def undirected_composition_from_tallies(tallies: TriadTallies) -> CompositionTable:
+    return _table(dict(tallies.undirected), "undirected-triangles")
+
+
 def composition_directed(graph: SignedDigraph, workers: int = 1) -> CompositionTable:
     """Sign multisets of every transitive triple across all transitive triads."""
-    return composition_from_tallies(
-        scan_triads(graph, workers=workers, transitive_only=True))
+    return composition_from_tallies(scan_triads(graph, workers=workers))
 
 
-def composition_undirected(graph: SignedGraph) -> CompositionTable:
-    """Sign multisets of all closed triangles of the projected graph."""
-    sign = graph.sign
-    counts = {k: 0 for k in COMPOSITION_KEYS}
-    order = ("+++", "++-", "+--", "---")
-    for i, j, k in graph.triangles():
-        neg = ((sign[(i, j)] < 0) + (sign[(i, k)] < 0) + (sign[(j, k)] < 0))
-        counts[order[neg]] += 1
-    return _table(counts, "undirected-triangles")
+def composition_undirected(graph: SignedDigraph) -> CompositionTable:
+    """Sign multisets of all closed triangles of the digraph's undirected
+    projection."""
+    return undirected_composition_from_tallies(scan_triads(graph))
 
 
 @dataclass(frozen=True)
@@ -118,55 +115,44 @@ class GraphMetrics:
         ]
 
 
-def _skeleton_triangle_counts(graph: SignedDigraph) -> tuple[np.ndarray, int]:
-    """Per-node triangle participation counts on the skeleton."""
-    per_node = np.zeros(graph.n_nodes, dtype=np.int64)
-    total = 0
-    adj = graph.adj
-    for i in range(graph.n_nodes):
-        higher = {x for x in adj[i] if x > i}
-        for j in higher:
-            for k in adj[j] & higher:
-                if k > j:
-                    per_node[i] += 1
-                    per_node[j] += 1
-                    per_node[k] += 1
-                    total += 1
-    return per_node, total
-
-
 def metrics(graph: SignedDigraph) -> GraphMetrics:
     """Descriptive measures, computed on the giant weakly-connected component.
 
     The component count refers to the graph as passed in; everything else is
     evaluated after giant-component selection (without pendant pruning).
     """
-    component_count = len(weak_components(graph))
-    g = preprocess(graph, PreprocessConfig(prune_pendants=False,
-                                           keep_component="giant"))
+    components = weak_components(graph)
+    giant = giant_component(graph, components)
+    g = graph if len(giant) == graph.n_nodes else graph.subgraph(giant)
     n = g.n_nodes
     if n < 2:
         raise UndefinedResultError(
             "average path length undefined for a singleton component")
     density = g.n_edges / (n * (n - 1))
 
+    rows, cols = [], []
+    for i in range(n):
+        for j in g.adj[i]:
+            rows.append(i)
+            cols.append(j)
+    # int64, since common-neighbour counts of narrower entries would wrap
+    mat = csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)),
+                     shape=(n, n))
+
     degrees = np.array([len(g.adj[i]) for i in range(n)], dtype=np.int64)
-    tri_per_node, triangles = _skeleton_triangle_counts(g)
+    # (A @ A)[i, j] counts the common neighbours of i and j; summed over the
+    # neighbours j of i, it counts each triangle at i twice
+    tri_per_node = np.asarray(
+        (mat @ mat).multiply(mat).sum(axis=1)).ravel() // 2
     wedges = int((degrees * (degrees - 1) // 2).sum())
-    transitivity = 3 * triangles / wedges if wedges else 0.0
+    # the per-node counts see each triangle three times
+    transitivity = int(tri_per_node.sum()) / wedges if wedges else 0.0
 
     with np.errstate(divide="ignore", invalid="ignore"):
         local = np.where(degrees > 1,
                          2.0 * tri_per_node / (degrees * (degrees - 1.0)), 0.0)
     clustering = float(local.mean())
 
-    rows, cols = [], []
-    for i in range(n):
-        for j in g.adj[i]:
-            rows.append(i)
-            cols.append(j)
-    mat = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                     shape=(n, n))
     dist = shortest_path(mat, method="D", directed=False, unweighted=True)
     finite = dist[np.isfinite(dist)]
     # reachable ordered pairs, excluding the diagonal
@@ -174,7 +160,7 @@ def metrics(graph: SignedDigraph) -> GraphMetrics:
     return GraphMetrics(
         node_count=n,
         edge_count=g.n_edges,
-        component_count=component_count,
+        component_count=len(components),
         transitivity=float(transitivity),
         density=float(density),
         avg_path_length=apl,

@@ -82,8 +82,7 @@ def test_criterion_1_highland_undirected():
     # S signed: trace(A^3)/6 = 68 and (trace(A^3) + trace(S^3))/12 = 59.
     # An older reference row of 24/2 at 0.92 contradicts all of these.
     graph = _load_highland()
-    triangles, balanced, imbalanced, ratio = tb.undirected_balance(
-        tb.project_undirected(graph))
+    triangles, balanced, imbalanced, ratio = tb.undirected_balance(graph)
     failures = []
     if triangles != 68:
         failures.append(f"expected 68 triangles, got {triangles}")
@@ -237,7 +236,7 @@ def test_criterion_5_property_suite():
                      tb.nonpartial_balance(positive)[0])
             if any(m != 1.0 for m in modes):
                 failures.append(f"all-positive graph scored {modes} at seed {seed}")
-            und = tb.undirected_balance(tb.project_undirected(positive))
+            und = tb.undirected_balance(positive)
             if und[0] and und[3] != 1.0:
                 failures.append(f"all-positive undirected ratio {und[3]}")
         except UndefinedResultError:

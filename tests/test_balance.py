@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from triadbalance import (SignedDigraph, Triple, aggregate_type_mean,
                           build_report, census, enumerate_triads,
                           nonpartial_balance, overall_balance,
-                          project_undirected, triad_balance,
-                          triple_is_balanced, type_balance,
+                          triad_balance, triple_is_balanced, type_balance,
                           undirected_balance)
 from triadbalance.errors import UndefinedResultError
 from triadbalance.oracle import random_signed_digraph
@@ -119,21 +118,21 @@ def test_nonpartial_single_sour_300():
 
 def test_undirected_triangle_signs():
     g = SignedDigraph([("a", "b", 1), ("b", "c", 1), ("a", "c", -1)])
-    count, balanced, imbalanced, ratio = undirected_balance(project_undirected(g))
+    count, balanced, imbalanced, ratio = undirected_balance(g)
     assert (count, balanced, imbalanced, ratio) == (1, 0, 1, 0.0)
     g = SignedDigraph([("a", "b", -1), ("b", "c", -1), ("a", "c", 1)])
-    count, balanced, imbalanced, ratio = undirected_balance(project_undirected(g))
+    count, balanced, imbalanced, ratio = undirected_balance(g)
     assert (count, balanced, imbalanced, ratio) == (1, 1, 0, 1.0)
 
 
 def test_undirected_no_triangles():
     g = SignedDigraph([("a", "b", 1)])
-    count, balanced, imbalanced, ratio = undirected_balance(project_undirected(g))
+    count, balanced, imbalanced, ratio = undirected_balance(g)
     assert (count, ratio) == (0, None)
 
 
 def test_report_json_shape(mixed_graph):
-    report = build_report(mixed_graph, undirected=project_undirected(mixed_graph))
+    report = build_report(mixed_graph, undirected=True)
     doc = report.to_json_dict()
     assert {e["type"] for e in doc["per_type"]} == {"030T", "120D", "120U", "300"}
     assert set(doc["nonpartial"]) == {"ratio", "balanced", "imbalanced"}
@@ -211,7 +210,7 @@ def test_symmetric_graph_undirected_equals_300_ratio(seed):
         edges.append((base.ids[v], base.ids[u], s))
     sym = SignedDigraph(edges, nodes=base.ids)
     entries = {tb.type: tb for tb in type_balance(sym)}
-    und = undirected_balance(project_undirected(sym))
+    und = undirected_balance(sym)
     if entries["300"].triad_count == 0:
         assert und[0] == 0
     else:

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from math import comb
@@ -90,11 +91,30 @@ def test_malformed_input_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    data = tmp_path / "latin1.tsv"
+    data.write_bytes(b"a\tb\t+1\n\xff\tc\t+1\n")
+    rc = main(["analyze", "--input", str(data), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error: cannot read input" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_directory_input_exits_2(tmp_path, capsys):
+    rc = main(["analyze", "--input", str(tmp_path), "--out",
+               str(tmp_path / "out")])
+    assert rc == 2
+    assert "error: cannot read input" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_transitive_triads_exits_3(tmp_path):
     data = _write(tmp_path, "cycle.tsv", CYCLE_ONLY_TSV)
+    out = tmp_path / "out"
     rc = main(["analyze", "--input", str(data), "--analyses", "balance",
-               "--out", str(tmp_path / "out")])
+               "--out", str(out)])
     assert rc == 3
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_census_of_cycle_still_works(tmp_path):
@@ -119,7 +139,8 @@ def test_compare_reports_undirected_only_triangle(tmp_path):
     rc = main(["compare", "--input", str(data), "--out", str(out)])
     assert rc == 0
     doc = json.loads((out / "compare.json").read_text())
-    assert ["a", "b", "c"] in doc["undirected_only_triangles"]
+    # the transitive triangle {c, d, e} is projected too, but not listed
+    assert doc["undirected_only_triangles"] == [["a", "b", "c"]]
     assert doc["undirected"]["triangles"] == 2
     assert doc["directed_nonpartial"]["balanced"] == 1
     with open(out / "compare.csv") as fh:
@@ -201,9 +222,14 @@ def test_unwritable_out_dir_exits_2(tmp_path):
 
 
 def test_balance_threads_env_cap(monkeypatch):
+    # the request is capped by the CPUs this process may run on, too; no
+    # pool is started here
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
     monkeypatch.setenv("BALANCE_THREADS", "1")
     assert resolve_workers(8) == 1
     monkeypatch.setenv("BALANCE_THREADS", "3")
-    assert resolve_workers(8) == 3
+    assert resolve_workers(8) == min(3, cpus)
     monkeypatch.delenv("BALANCE_THREADS")
-    assert resolve_workers(8) == 8
+    assert resolve_workers(8) == min(8, cpus)
+    assert resolve_workers(10**6) == cpus

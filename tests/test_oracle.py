@@ -54,8 +54,9 @@ def test_oracle_census_sums():
         assert sum(result.census.values()) == comb(12, 3)
 
 
+@pytest.mark.parametrize("edge_prob", [0.3, 0.6])
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
-def test_fast_path_agrees_with_oracle(seed):
-    g = random_signed_digraph(15, 0.3, 0.4, seed)
+def test_fast_path_agrees_with_oracle(edge_prob, seed):
+    g = random_signed_digraph(15, edge_prob, 0.4, seed)
     assert compare_with_oracle(g) == []

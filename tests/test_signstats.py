@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triadbalance import (SignedDigraph, composition_directed,
-                          composition_undirected, metrics,
-                          project_undirected, scan_triads)
+from triadbalance import (TRIPLES_PER_TYPE, SignedDigraph,
+                          composition_directed, composition_undirected,
+                          metrics, scan_triads)
 from triadbalance.errors import UndefinedResultError
 from triadbalance.oracle import random_signed_digraph
 
@@ -34,7 +34,7 @@ def test_composition_zero_triples():
 
 def test_composition_undirected_single_triangle():
     g = SignedDigraph([("a", "b", 1), ("b", "c", 1), ("a", "c", -1)])
-    table = composition_undirected(project_undirected(g))
+    table = composition_undirected(g)
     assert table.proportions["++-"] == 1.0
     assert table.basis == "undirected-triangles"
 
@@ -44,7 +44,7 @@ def test_composition_undirected_two_triangles():
         ("a", "b", 1), ("b", "c", 1), ("a", "c", 1),
         ("x", "y", -1), ("y", "z", -1), ("x", "z", -1),
     ])
-    table = composition_undirected(project_undirected(g))
+    table = composition_undirected(g)
     assert table.proportions["+++"] == 0.5
     assert table.proportions["---"] == 0.5
 
@@ -65,9 +65,10 @@ def test_balanced_share_matches_balance_module(seed):
     table = composition_directed(g)
     if not table.total:
         return
-    tallies = scan_triads(g, transitive_only=True)
+    tallies = scan_triads(g)
     balanced = sum(tallies.type_balanced.values())
-    total = sum(tallies.type_triples.values())
+    total = sum(count * TRIPLES_PER_TYPE[cls]
+                for cls, count in tallies.type_triads.items())
     share = table.proportions["+++"] + table.proportions["+--"]
     assert abs(share - balanced / total) < 1e-9
 

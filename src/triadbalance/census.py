@@ -313,13 +313,6 @@ def _pool_scan(args: tuple[int, int]) -> TriadTallies:
     return _scan_range(_POOL_GRAPH, start, step)
 
 
-def _fork_available() -> bool:
-    try:
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:
-        return False
-
-
 def resolve_workers(requested: int | None = None) -> int:
     """Worker budget: the explicit request or the CPU count, capped by the
     CPUs this process may run on and by the BALANCE_THREADS environment
@@ -346,22 +339,14 @@ def scan_triads(graph: SignedDigraph, workers: int = 1) -> TriadTallies:
     summation and `undirected_only` is sorted, so results are identical for
     any worker count.
     """
-    global _POOL_GRAPH
     workers = resolve_workers(workers)
     chunks = [(k, workers) for k in range(workers)]
     if workers == 1 or graph.n_nodes < 4 * workers:
         parts = [_scan_range(graph, 0, 1)]
-    elif _fork_available():
-        # forked children inherit the graph; no per-worker pickling
-        ctx = multiprocessing.get_context("fork")
-        _POOL_GRAPH = graph
-        try:
-            with ctx.Pool(workers) as pool:
-                parts = pool.map(_pool_scan, chunks)
-        finally:
-            _POOL_GRAPH = None
     else:
-        ctx = multiprocessing.get_context()
+        # forked children inherit the initializer's graph; nothing is pickled
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if fork else None)
         with ctx.Pool(workers, initializer=_pool_init,
                       initargs=(graph,)) as pool:
             parts = pool.map(_pool_scan, chunks)

@@ -9,7 +9,12 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Iterable, Iterator, NamedTuple
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import FormatError, ParseError
 
@@ -126,11 +131,29 @@ class SignedDigraph:
         """In-degree + out-degree of index i (a mutual dyad counts twice)."""
         return len(self.out[i]) + len(self.inn[i])
 
-    def subgraph(self, keep: set[int]) -> "SignedDigraph":
-        """New graph restricted to the given node indices."""
-        edges = [(self.ids[u], self.ids[v], s)
-                 for (u, v), s in self.sign.items() if u in keep and v in keep]
-        return SignedDigraph(edges, nodes=(self.ids[i] for i in keep))
+    def edge_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sources and targets of the edges as int64 index arrays."""
+        pairs = np.fromiter(chain.from_iterable(self.sign), dtype=np.int64,
+                            count=2 * len(self.sign))
+        return pairs[0::2], pairs[1::2]
+
+    def subgraph(self, keep: Iterable[int]) -> "SignedDigraph":
+        """New graph restricted to the given node indices.
+
+        Ids are sorted, so the kept indices are renumbered in their own
+        order; nothing goes back through the id strings.
+        """
+        keep = sorted(keep)
+        new = dict(zip(keep, range(len(keep))))
+        g = object.__new__(SignedDigraph)
+        g.ids = tuple(self.ids[i] for i in keep)
+        g.index = dict(zip(g.ids, range(len(keep))))
+        g.sign = {(new[u], new[v]): s for (u, v), s in self.sign.items()
+                  if u in new and v in new}
+        g.out = [{new[v] for v in self.out[u] if v in new} for u in keep]
+        g.inn = [{new[v] for v in self.inn[u] if v in new} for u in keep]
+        g.adj = [o | i for o, i in zip(g.out, g.inn)]
+        return g
 
     def __repr__(self):
         return f"SignedDigraph(n={self.n_nodes}, m={self.n_edges})"
@@ -218,7 +241,7 @@ def load_edge_records(source, fmt: str) -> list[EdgeRecord]:
 
     Formats:
         csv-rating:    source,target,rating[,timestamp]
-        tsv-sign:      source TAB target TAB sign
+        tsv-sign:      source TAB target TAB sign, the sign +1 or -1
         signed-matrix: square whitespace/comma separated integer matrix,
                        rows are senders; zero cells produce no record
     """
@@ -255,6 +278,8 @@ def _parse_lines(stream: IO[str], fmt: str) -> list[EdgeRecord]:
             raise ParseError(line_no, f"bad weight {parts[2]!r}") from None
         if weight != weight or abs(weight) == float("inf"):
             raise ParseError(line_no, f"non-finite weight {parts[2]!r}")
+        if fmt == "tsv-sign" and weight not in (1.0, -1.0):
+            raise ParseError(line_no, f"sign must be +1 or -1, got {parts[2]!r}")
         timestamp = None
         if fmt == "csv-rating" and len(parts) == 4:
             try:
@@ -322,83 +347,64 @@ def build_graph(records: Iterable[EdgeRecord],
     return SignedDigraph(edges)
 
 
-def weak_components(graph: SignedDigraph) -> list[set[int]]:
-    """Weakly-connected components as sets of node indices."""
-    seen = [False] * graph.n_nodes
-    components = []
-    for start in range(graph.n_nodes):
-        if seen[start]:
-            continue
-        comp = {start}
-        seen[start] = True
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in graph.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.add(v)
-                    queue.append(v)
-        components.append(comp)
-    return components
+def largest_component(n_nodes: int, src: np.ndarray,
+                      dst: np.ndarray) -> tuple[np.ndarray, int]:
+    """Indices of the largest weakly-connected component of the graph with
+    the given edges, and the number of components.
 
-
-def giant_component(graph: SignedDigraph,
-                    components: list[set[int]]) -> set[int]:
-    """The largest of the graph's weak components; size-ties are broken by
-    the smallest minimum node id."""
-    if not components:
-        return set()
-    best = max(len(c) for c in components)
-    return min((c for c in components if len(c) == best),
-               key=lambda c: min(graph.ids[i] for i in c))
-
-
-def _prune_pendants(graph: SignedDigraph) -> SignedDigraph:
-    """Iteratively drop nodes of total degree <= 1 until a fixed point.
-
-    Degree-1 nodes can never participate in a triad, so this only shrinks
-    the graph that later stages have to scan.
+    Size ties go to the component holding the smallest index, which, ids
+    being sorted, is the one with the smallest minimum id.
     """
-    out = [set(s) for s in graph.out]
-    inn = [set(s) for s in graph.inn]
-    alive = set(range(graph.n_nodes))
-    queue = [i for i in alive if len(out[i]) + len(inn[i]) <= 1]
-    while queue:
-        u = queue.pop()
-        if u not in alive:
-            continue
-        if len(out[u]) + len(inn[u]) > 1:
-            continue
-        alive.discard(u)
-        for v in out[u] | inn[u]:
-            out[v].discard(u)
-            inn[v].discard(u)
-            if v in alive and len(out[v]) + len(inn[v]) <= 1:
-                queue.append(v)
-        out[u].clear()
-        inn[u].clear()
-    if len(alive) == graph.n_nodes:
-        return graph
-    return graph.subgraph(alive)
+    if n_nodes == 0:
+        return np.zeros(0, dtype=np.int64), 0
+    arcs = csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)),
+                      shape=(n_nodes, n_nodes))
+    count, labels = connected_components(arcs, directed=True,
+                                         connection="weak")
+    sizes = np.bincount(labels)
+    # the label of the first node that sits in a component of maximal size
+    label = labels[np.argmax(sizes[labels] == sizes.max())]
+    return np.flatnonzero(labels == label), count
 
 
 def preprocess(graph: SignedDigraph,
                config: PreprocessConfig | None = None) -> SignedDigraph:
     """Giant-component selection plus optional iterative pendant pruning.
 
-    Pruning can split or empty the component, so the giant component is
-    re-extracted afterwards.
+    Pruning drops nodes of total degree <= 1 (a mutual dyad counts twice)
+    until none is left; they can never sit in a triad.  A pruned node has
+    at most one neighbour, so removing it never disconnects the rest: the
+    pruned giant component is still connected and needs no second
+    selection.
     """
     config = config or PreprocessConfig()
-    g = graph
-    if config.keep_component == "giant" and g.n_nodes:
-        g = g.subgraph(giant_component(g, weak_components(g)))
+    n = graph.n_nodes
+    src, dst = graph.edge_index_arrays()
+    keep = np.ones(n, dtype=bool)
+    if config.keep_component == "giant":
+        keep[:] = False
+        keep[largest_component(n, src, dst)[0]] = True
     if config.prune_pendants:
-        g = _prune_pendants(g)
-        if config.keep_component == "giant" and g.n_nodes:
-            g = g.subgraph(giant_component(g, weak_components(g)))
-    return g
+        live = keep[src] & keep[dst]
+        degree = (np.bincount(src[live], minlength=n)
+                  + np.bincount(dst[live], minlength=n))
+        stack = np.flatnonzero(keep & (degree <= 1)).tolist()
+        degree = degree.tolist()
+        # peel one pendant at a time, so the work is bounded by the pruned
+        # nodes and their edges however long a pendant chain is
+        while stack:
+            u = stack.pop()
+            if not keep[u]:
+                continue
+            keep[u] = False
+            for v in graph.adj[u]:  # at most one kept v, by a single edge
+                if keep[v]:
+                    degree[v] -= 1
+                    if degree[v] <= 1:
+                        stack.append(v)
+    if keep.all():
+        return graph
+    return graph.subgraph(np.flatnonzero(keep).tolist())
 
 
 # -- undirected projection -----------------------------------------------------

@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from .census import TriadTallies, scan_triads
 from .errors import UndefinedResultError
-from .graphs import SignedDigraph, giant_component, weak_components
+from .graphs import SignedDigraph, largest_component
 
 #: export order for composition columns
 COMPOSITION_KEYS = ("+++", "+--", "++-", "---")
@@ -121,25 +121,27 @@ def metrics(graph: SignedDigraph) -> GraphMetrics:
     The component count refers to the graph as passed in; everything else is
     evaluated after giant-component selection (without pendant pruning).
     """
-    components = weak_components(graph)
-    giant = giant_component(graph, components)
-    g = graph if len(giant) == graph.n_nodes else graph.subgraph(giant)
-    n = g.n_nodes
+    src, dst = graph.edge_index_arrays()
+    giant, component_count = largest_component(graph.n_nodes, src, dst)
+    n = len(giant)
     if n < 2:
         raise UndefinedResultError(
             "average path length undefined for a singleton component")
-    density = g.n_edges / (n * (n - 1))
+    # renumber the giant in index order; an edge is inside it when its
+    # source is
+    position = np.full(graph.n_nodes, -1, dtype=np.int64)
+    position[giant] = np.arange(n)
+    inside = position[src] >= 0
+    src, dst = position[src[inside]], position[dst[inside]]
+    density = len(src) / (n * (n - 1))
 
-    rows, cols = [], []
-    for i in range(n):
-        for j in g.adj[i]:
-            rows.append(i)
-            cols.append(j)
-    # int64, since common-neighbour counts of narrower entries would wrap
-    mat = csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)),
+    # int64, since common-neighbour counts of narrower entries would wrap;
+    # the two entries of a mutual dyad are summed, then reset to 1
+    mat = csr_matrix((np.ones(2 * len(src), dtype=np.int64),
+                      (np.concatenate([src, dst]), np.concatenate([dst, src]))),
                      shape=(n, n))
-
-    degrees = np.array([len(g.adj[i]) for i in range(n)], dtype=np.int64)
+    mat.data[:] = 1
+    degrees = np.diff(mat.indptr).astype(np.int64)
     # (A @ A)[i, j] counts the common neighbours of i and j; summed over the
     # neighbours j of i, it counts each triangle at i twice
     tri_per_node = np.asarray(
@@ -159,8 +161,8 @@ def metrics(graph: SignedDigraph) -> GraphMetrics:
     apl = float((finite.sum()) / (len(finite) - n))
     return GraphMetrics(
         node_count=n,
-        edge_count=g.n_edges,
-        component_count=len(components),
+        edge_count=len(src),
+        component_count=component_count,
         transitivity=float(transitivity),
         density=float(density),
         avg_path_length=apl,

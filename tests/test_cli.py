@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import triadbalance
 from triadbalance import load_tsv
 from triadbalance.census import resolve_workers
 from triadbalance.cli import main
@@ -97,6 +98,14 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
     rc = main(["analyze", "--input", str(data), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "error: cannot read input" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tsv_weight_other_than_sign_exits_2(tmp_path, capsys):
+    data = _write(tmp_path, "weights.tsv", "a\tb\t+1\nb\tc\t5\n")
+    rc = main(["analyze", "--input", str(data), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "line 2" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -206,11 +215,15 @@ def test_matrix_format_via_cli(tmp_path):
 
 def test_console_entry_point(tmp_path):
     data = _write(tmp_path, "g.tsv", TRIANGLE_TSV)
+    # the child imports the same package as this test, installed or not
+    package_root = str(Path(triadbalance.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root,
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "triadbalance.cli", "analyze",
          "--input", str(data), "--analyses", "census",
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
 
 

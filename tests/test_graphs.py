@@ -1,12 +1,12 @@
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triadbalance import (EdgeRecord, PreprocessConfig, SignedDigraph,
                           build_graph, cancelled_pairs, dump_tsv,
-                          load_edge_records, load_tsv, preprocess,
+                          load_edge_records, load_tsv, metrics, preprocess,
                           project_undirected)
 from triadbalance.errors import FormatError, ParseError
 from triadbalance.oracle import random_signed_digraph
@@ -50,6 +50,13 @@ def test_parse_error_carries_line_number():
 def test_parse_error_bad_weight():
     with pytest.raises(ParseError, match="line 1"):
         load_edge_records(io.StringIO("a,b,much\n"), "csv-rating")
+
+
+@pytest.mark.parametrize("weight", ["5", "-7", "0.5", "0", "2.0"])
+def test_tsv_sign_rejects_weights_other_than_sign(weight):
+    text = f"a\tb\t+1\nb\tc\t{weight}\n"
+    with pytest.raises(ParseError, match="line 2"):
+        load_edge_records(io.StringIO(text), "tsv-sign")
 
 
 def test_matrix_not_square():
@@ -141,6 +148,22 @@ def test_giant_component_selection():
     assert pre.nodes == {"a", "b", "c", "d"}
 
 
+def test_giant_size_tie_keeps_smallest_id():
+    # two 3-node components: the one holding "a" has 3 edges, the other 6;
+    # "z" is an isolated third component
+    g = SignedDigraph([
+        ("b", "d", 1), ("d", "b", 1), ("d", "f", -1), ("f", "d", -1),
+        ("b", "f", 1), ("f", "b", 1),
+        ("c", "a", 1), ("e", "c", -1), ("a", "e", 1),
+    ], nodes=["z"])
+    pre = preprocess(g, PreprocessConfig(prune_pendants=False))
+    assert pre.nodes == {"a", "c", "e"}
+    m = metrics(g)
+    assert m.node_count == 3
+    assert m.edge_count == 3
+    assert m.component_count == 3
+
+
 def test_keep_all_components():
     g = SignedDigraph([
         ("a", "b", 1), ("b", "c", 1), ("c", "a", 1),
@@ -164,6 +187,73 @@ def test_pruned_graphs_have_min_degree_two(seed):
     pre = preprocess(g)
     for i in range(pre.n_nodes):
         assert pre.total_degree(i) >= 2
+
+
+def _reference_preprocess(graph: SignedDigraph,
+                          config: PreprocessConfig) -> set[int]:
+    """Kept node indices, from set-based BFS components and one-at-a-time
+    pendant removal."""
+    keep = set(range(graph.n_nodes))
+    if config.keep_component == "giant" and keep:
+        components, seen = [], set()
+        for start in range(graph.n_nodes):
+            if start in seen:
+                continue
+            comp, queue = {start}, [start]
+            while queue:
+                for v in graph.adj[queue.pop()] - comp:
+                    comp.add(v)
+                    queue.append(v)
+            seen |= comp
+            components.append(comp)
+        best = max(len(c) for c in components)
+        keep = min((c for c in components if len(c) == best),
+                   key=lambda c: min(graph.ids[i] for i in c))
+    if config.prune_pendants:
+        def degree(i):
+            return len(graph.out[i] & keep) + len(graph.inn[i] & keep)
+        pendants = [i for i in keep if degree(i) <= 1]
+        while pendants:
+            keep = keep - {pendants[0]}
+            pendants = [i for i in keep if degree(i) <= 1]
+    return keep
+
+
+def _weakly_connected(graph: SignedDigraph) -> bool:
+    reached, queue = {0}, [0]
+    while queue:
+        for v in graph.adj[queue.pop()] - reached:
+            reached.add(v)
+            queue.append(v)
+    return len(reached) == graph.n_nodes
+
+
+# sparse graphs on ids "0".."15": string order ("10" < "2") differs from
+# numeric order, so the size-tie rule is tested on the ids themselves
+sparse_edges = st.lists(
+    st.tuples(st.integers(0, 15), st.integers(0, 15), st.sampled_from([1, -1]))
+    .filter(lambda e: e[0] != e[1]),
+    max_size=28, unique_by=lambda e: (e[0], e[1]))
+
+
+@given(edges=sparse_edges)
+@example(edges=[(0, 1, 1), (1, 2, 1), (2, 0, -1), (2, 3, 1), (3, 4, 1),
+                (10, 11, 1), (11, 12, -1), (12, 10, 1), (12, 13, 1),
+                (13, 14, 1)])
+@settings(max_examples=200, deadline=None)
+def test_preprocess_matches_set_reference(edges):
+    g = SignedDigraph([(str(u), str(v), s) for u, v, s in edges],
+                      nodes=[str(i) for i in range(16)])
+    for config in (PreprocessConfig(), PreprocessConfig(prune_pendants=False),
+                   PreprocessConfig(keep_component="all")):
+        keep = _reference_preprocess(g, config)
+        pre = preprocess(g, config)
+        assert pre.ids == tuple(g.ids[i] for i in sorted(keep))
+        assert list(pre.edge_items()) == [
+            (u, v, s) for u, v, s in g.edge_items()
+            if g.index[u] in keep and g.index[v] in keep]
+        if config.keep_component == "giant" and pre.n_nodes:
+            assert _weakly_connected(pre)
 
 
 @given(seed=st.integers(0, 10**6))

@@ -60,6 +60,11 @@ class RunConfig:
             raise ValueError("emit formats must be a subset of {json, csv}")
 
 
+def _input_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT
+
+
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -204,22 +209,16 @@ def run(config: RunConfig) -> int:
     try:
         config.validate()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(exc)
     if not os.path.exists(config.input_path):
-        print(f"error: input file not found: {config.input_path}",
-              file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(f"input file not found: {config.input_path}")
     try:
         built, pre, n_records = _load_preprocessed(config)
         input_sha256 = _sha256(config.input_path)
     except (ParseError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(exc)
     except (UnicodeDecodeError, OSError) as exc:
-        print(f"error: cannot read input {config.input_path}: {exc}",
-              file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(f"cannot read input {config.input_path}: {exc}")
 
     workers = resolve_workers(config.workers)
     try:
@@ -232,9 +231,7 @@ def run(config: RunConfig) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create output directory {out_dir}: {exc}",
-              file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(f"cannot create output directory {out_dir}: {exc}")
     dump_tsv(pre, out_dir / "graph.tsv")
     for name, payload in reports.items():
         if name.endswith(".json"):
@@ -362,16 +359,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _oracle_check(args: argparse.Namespace) -> int:
     from .oracle import ORACLE_MAX_NODES, brute_force, random_signed_digraph
 
-    if args.input:
-        records = load_edge_records(args.input, args.format)
-        graph = preprocess(build_graph(records))
-    else:
-        graph = random_signed_digraph(args.n, args.edge_prob, args.neg_prob,
-                                      args.seed)
+    try:
+        if args.input:
+            records = load_edge_records(args.input, args.format)
+            graph = preprocess(build_graph(records))
+        else:
+            graph = random_signed_digraph(args.n, args.edge_prob,
+                                          args.neg_prob, args.seed)
+    except (ValueError, OSError) as exc:
+        return _input_error(exc)
     if graph.n_nodes > ORACLE_MAX_NODES:
-        print(f"error: oracle supports at most {ORACLE_MAX_NODES} nodes",
-              file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(
+            f"oracle supports at most {ORACLE_MAX_NODES} nodes")
     from .crosscheck import compare_with_oracle
     mismatches = compare_with_oracle(graph)
     if mismatches:
@@ -384,24 +383,28 @@ def _oracle_check(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "analyze":
-        analyses = tuple(s.strip() for s in args.analyses.split(",") if s.strip())
-        config = _config_from_args(args, analyses)
-        return run(config)
-    if args.command == "census":
-        return run(_config_from_args(args, ("census",)))
-    if args.command == "compare":
-        return run(_config_from_args(args, ("undirected-compare",)))
     if args.command == "oracle-check":
         return _oracle_check(args)
     if args.command == "gen-random":
-        graph = oracle.random_signed_digraph(args.n, args.edge_prob,
-                                             args.neg_prob, args.seed)
-        dump_tsv(graph, args.out)
+        try:
+            graph = oracle.random_signed_digraph(args.n, args.edge_prob,
+                                                 args.neg_prob, args.seed)
+            dump_tsv(graph, args.out)
+        except (ValueError, OSError) as exc:
+            return _input_error(exc)
         print(f"wrote {graph.n_edges} edges over {graph.n_nodes} nodes "
               f"to {args.out}")
         return EXIT_OK
-    raise AssertionError(f"unhandled command {args.command}")
+    if args.command == "analyze":
+        analyses = tuple(s.strip() for s in args.analyses.split(",") if s.strip())
+    else:
+        analyses = {"census": ("census",),
+                    "compare": ("undirected-compare",)}[args.command]
+    try:
+        config = _config_from_args(args, analyses)
+    except ValueError as exc:  # e.g. a non-finite --threshold
+        return _input_error(exc)
+    return run(config)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,16 @@
 """Signed digraph data model: ingestion, preprocessing, undirected projection.
 
 Node ids are opaque strings everywhere at the API surface.  Internally each
-graph maps its ids to dense integer indices (sorted id order) so that the
-enumeration code can work on plain integer adjacency sets.
+graph maps its ids to dense integer indices (sorted id order) and stores its
+edges once, as read-only source, target and sign arrays sorted by index
+pair; the integer adjacency sets the enumeration code works on, and the
+sign lookup, are derived from those arrays.
 """
 from __future__ import annotations
 
 import io
 import os
 from dataclasses import dataclass
-from itertools import chain
 from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -63,18 +64,25 @@ class PreprocessConfig:
 class SignedDigraph:
     """Immutable signed directed graph.
 
-    Attributes (index-based, treat as read-only):
-        ids:   tuple of node id strings; position = dense index
+    The edges are stored once, as read-only arrays sorted by (source,
+    target) index; every other attribute is derived from them when the
+    graph is made, by `_from_arrays`:
+        ids:   tuple of node id strings, sorted; position = dense index
+        index: dict mapping id -> index
+        src:   int64 source index of each edge
+        dst:   int64 target index of each edge
+        sgn:   int8 sign of each edge, +1 | -1
+        sign:  dict mapping ordered index pair (u, v) -> +1 | -1
         out:   list of successor index sets
         inn:   list of predecessor index sets
         adj:   list of union neighbourhood sets (out | inn)
-        sign:  dict mapping ordered index pair (u, v) -> +1 | -1
     """
 
-    __slots__ = ("ids", "index", "out", "inn", "adj", "sign")
+    __slots__ = ("ids", "index", "src", "dst", "sgn", "sign", "out", "inn",
+                 "adj")
 
-    def __init__(self, edges: Iterable[tuple[str, str, int]] = (),
-                 nodes: Iterable[str] = ()):
+    def __new__(cls, edges: Iterable[tuple[str, str, int]] = (),
+                nodes: Iterable[str] = ()):
         edge_list = [(str(u), str(v), int(s)) for u, v, s in edges]
         id_set = set(nodes)
         for u, v, s in edge_list:
@@ -84,20 +92,38 @@ class SignedDigraph:
                 raise ValueError(f"sign must be +1 or -1, got {s}")
             id_set.add(u)
             id_set.add(v)
-        self.ids: tuple[str, ...] = tuple(sorted(id_set))
-        self.index: dict[str, int] = {nid: i for i, nid in enumerate(self.ids)}
-        n = len(self.ids)
-        self.out: list[set[int]] = [set() for _ in range(n)]
-        self.inn: list[set[int]] = [set() for _ in range(n)]
-        self.sign: dict[tuple[int, int], int] = {}
-        for u, v, s in edge_list:
-            ui, vi = self.index[u], self.index[v]
-            if (ui, vi) in self.sign:
-                raise ValueError(f"duplicate edge {u!r} -> {v!r}")
-            self.sign[(ui, vi)] = s
-            self.out[ui].add(vi)
-            self.inn[vi].add(ui)
-        self.adj: list[set[int]] = [self.out[i] | self.inn[i] for i in range(n)]
+        ids = tuple(sorted(id_set))
+        index = dict(zip(ids, range(len(ids))))
+        pair = np.array([index[u] * len(ids) + index[v]
+                         for u, v, _ in edge_list], dtype=np.int64)
+        pairs, first = np.unique(pair, return_index=True)
+        if len(pairs) < len(pair):
+            repeat = np.setdiff1d(np.arange(len(pair)), first)[0]
+            u, v, _ = edge_list[repeat]
+            raise ValueError(f"duplicate edge {u!r} -> {v!r}")
+        sgn = np.array([s for _, _, s in edge_list], dtype=np.int8)
+        return cls._from_arrays(ids, *np.divmod(pairs, len(ids)), sgn[first])
+
+    @classmethod
+    def _from_arrays(cls, ids: tuple[str, ...], src: np.ndarray,
+                     dst: np.ndarray, sgn: np.ndarray) -> "SignedDigraph":
+        """The graph on the sorted `ids` with the given edges, which must be
+        sorted by (src, dst) and hold no self-loop and no repeated pair."""
+        g = object.__new__(cls)
+        g.ids = ids
+        g.index = dict(zip(ids, range(len(ids))))
+        g.src = np.asarray(src, dtype=np.int64)
+        g.dst = np.asarray(dst, dtype=np.int64)
+        g.sgn = np.asarray(sgn, dtype=np.int8)
+        for array in (g.src, g.dst, g.sgn):
+            array.flags.writeable = False
+        g.sign = dict(zip(zip(g.src.tolist(), g.dst.tolist()),
+                          g.sgn.tolist()))
+        by_dst = np.argsort(g.dst, kind="stable")
+        g.out = _index_sets(g.src, g.dst, len(ids))
+        g.inn = _index_sets(g.dst[by_dst], g.src[by_dst], len(ids))
+        g.adj = [o | i for o, i in zip(g.out, g.inn)]
+        return g
 
     # -- string-facing convenience -------------------------------------------
 
@@ -111,7 +137,7 @@ class SignedDigraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.sign)
+        return len(self.src)
 
     def has_edge(self, u: str, v: str) -> bool:
         try:
@@ -124,103 +150,46 @@ class SignedDigraph:
 
     def edge_items(self) -> Iterator[tuple[str, str, int]]:
         """Edges as (source, target, sign), sorted by index pair."""
-        for (ui, vi) in sorted(self.sign):
-            yield self.ids[ui], self.ids[vi], self.sign[(ui, vi)]
+        ids = self.ids
+        for u, v, s in zip(self.src.tolist(), self.dst.tolist(),
+                           self.sgn.tolist()):
+            yield ids[u], ids[v], s
 
     def total_degree(self, i: int) -> int:
         """In-degree + out-degree of index i (a mutual dyad counts twice)."""
         return len(self.out[i]) + len(self.inn[i])
 
     def edge_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sources and targets of the edges as int64 index arrays."""
-        pairs = np.fromiter(chain.from_iterable(self.sign), dtype=np.int64,
-                            count=2 * len(self.sign))
-        return pairs[0::2], pairs[1::2]
+        """Sources and targets of the edges as read-only int64 index arrays."""
+        return self.src, self.dst
 
     def subgraph(self, keep: Iterable[int]) -> "SignedDigraph":
         """New graph restricted to the given node indices.
 
         Ids are sorted, so the kept indices are renumbered in their own
-        order; nothing goes back through the id strings.
+        order, which keeps the edges sorted; nothing goes back through the
+        id strings.
         """
-        keep = sorted(keep)
-        new = dict(zip(keep, range(len(keep))))
-        g = object.__new__(SignedDigraph)
-        g.ids = tuple(self.ids[i] for i in keep)
-        g.index = dict(zip(g.ids, range(len(keep))))
-        g.sign = {(new[u], new[v]): s for (u, v), s in self.sign.items()
-                  if u in new and v in new}
-        g.out = [{new[v] for v in self.out[u] if v in new} for u in keep]
-        g.inn = [{new[v] for v in self.inn[u] if v in new} for u in keep]
-        g.adj = [o | i for o, i in zip(g.out, g.inn)]
-        return g
+        keep = np.unique(np.fromiter(keep, dtype=np.int64))
+        position = np.full(self.n_nodes, -1, dtype=np.int64)
+        position[keep] = np.arange(len(keep))
+        src, dst = position[self.src], position[self.dst]
+        inside = (src >= 0) & (dst >= 0)
+        return SignedDigraph._from_arrays(
+            tuple(self.ids[i] for i in keep.tolist()), src[inside],
+            dst[inside], self.sgn[inside])
 
     def __repr__(self):
         return f"SignedDigraph(n={self.n_nodes}, m={self.n_edges})"
 
 
-class SignedGraph:
-    """Immutable signed undirected graph (projection of a digraph).
-
-    Attributes mirror SignedDigraph; `sign` is keyed by the index pair
-    (min, max).
-    """
-
-    __slots__ = ("ids", "index", "adj", "sign")
-
-    def __init__(self, edges: Iterable[tuple[str, str, int]] = (),
-                 nodes: Iterable[str] = ()):
-        edge_list = [(str(u), str(v), int(s)) for u, v, s in edges]
-        id_set = set(nodes)
-        for u, v, s in edge_list:
-            if u == v:
-                raise ValueError(f"self-edge {u!r} not allowed")
-            if s not in (1, -1):
-                raise ValueError(f"sign must be +1 or -1, got {s}")
-            id_set.add(u)
-            id_set.add(v)
-        self.ids: tuple[str, ...] = tuple(sorted(id_set))
-        self.index: dict[str, int] = {nid: i for i, nid in enumerate(self.ids)}
-        self.adj: list[set[int]] = [set() for _ in self.ids]
-        self.sign: dict[tuple[int, int], int] = {}
-        for u, v, s in edge_list:
-            ui, vi = self.index[u], self.index[v]
-            key = (ui, vi) if ui < vi else (vi, ui)
-            if key in self.sign:
-                raise ValueError(f"duplicate edge {{{u!r}, {v!r}}}")
-            self.sign[key] = s
-            self.adj[ui].add(vi)
-            self.adj[vi].add(ui)
-
-    @property
-    def nodes(self) -> set[str]:
-        return set(self.ids)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.ids)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.sign)
-
-    def has_edge(self, u: str, v: str) -> bool:
-        try:
-            ui, vi = self.index[u], self.index[v]
-        except KeyError:
-            return False
-        return (min(ui, vi), max(ui, vi)) in self.sign
-
-    def sign_of(self, u: str, v: str) -> int:
-        ui, vi = self.index[u], self.index[v]
-        return self.sign[(min(ui, vi), max(ui, vi))]
-
-    def edge_items(self) -> Iterator[tuple[str, str, int]]:
-        for (ui, vi) in sorted(self.sign):
-            yield self.ids[ui], self.ids[vi], self.sign[(ui, vi)]
-
-    def __repr__(self):
-        return f"SignedGraph(n={self.n_nodes}, m={self.n_edges})"
+def _index_sets(rows: np.ndarray, cols: np.ndarray,
+                n: int) -> list[set[int]]:
+    """For each index below n, the set of `cols` at its `rows`; `rows` is
+    sorted."""
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
+    return [set(cols[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 # -- ingestion ----------------------------------------------------------------
@@ -324,27 +293,40 @@ def build_graph(records: Iterable[EdgeRecord],
     Parallel records for one ordered pair are aggregated by the configured
     rule; the aggregate is compared against the sign threshold (above -> +1,
     below -> -1, exactly at it -> edge dropped).  Self-loops are dropped.
+    Only nodes with a surviving edge are kept.
     """
     config = config or PreprocessConfig()
-    buckets: dict[tuple[str, str], list[float]] = {}
-    for rec in records:
-        if rec.source == rec.target:
-            continue
-        buckets.setdefault((rec.source, rec.target), []).append(rec.weight)
-    edges = []
-    for (u, v), weights in buckets.items():
-        if config.aggregate_rule == "sum-then-sign":
-            agg = sum(weights)
-        elif config.aggregate_rule == "mean-then-sign":
-            agg = sum(weights) / len(weights)
-        else:  # last-record, by input order (timestamps are ignored)
-            agg = weights[-1]
-        if agg > config.sign_threshold:
-            edges.append((u, v, 1))
-        elif agg < config.sign_threshold:
-            edges.append((u, v, -1))
-        # at the threshold: neutral, dropped
-    return SignedDigraph(edges)
+    records = list(records)
+    sources = [rec.source for rec in records]
+    targets = [rec.target for rec in records]
+    # Python's str order: numpy's unicode dtype would merge "a" and "a\x00"
+    names = sorted(set(sources).union(targets))
+    position = dict(zip(names, range(len(names))))
+    n, m = len(names), len(records)
+    src = np.fromiter(map(position.__getitem__, sources), np.int64, m)
+    dst = np.fromiter(map(position.__getitem__, targets), np.int64, m)
+    weight = np.fromiter((rec.weight for rec in records), np.float64, m)
+    loop = src == dst
+    pair, weight = (src * n + dst)[~loop], weight[~loop]
+    if config.aggregate_rule == "last-record":
+        # by input order (timestamps are ignored): the first of each pair
+        # in reversed order
+        pairs, last = np.unique(pair[::-1], return_index=True)
+        agg = weight[::-1][last]
+    else:
+        pairs, group = np.unique(pair, return_inverse=True)
+        # bincount adds each pair's weights in input order, like `sum`
+        agg = np.bincount(group, weights=weight, minlength=len(pairs))
+        if config.aggregate_rule == "mean-then-sign":
+            agg = agg / np.bincount(group, minlength=len(pairs))
+    positive = agg > config.sign_threshold
+    signed = positive | (agg < config.sign_threshold)  # at it: neutral
+    # only nodes with a surviving edge get an id, renumbered in their order
+    nodes, ends = np.unique(np.divmod(pairs[signed], n), return_inverse=True)
+    src, dst = ends.reshape(2, -1)
+    return SignedDigraph._from_arrays(tuple(names[i] for i in nodes.tolist()),
+                                      src, dst,
+                                      np.where(positive[signed], 1, -1))
 
 
 def largest_component(n_nodes: int, src: np.ndarray,
@@ -404,40 +386,50 @@ def preprocess(graph: SignedDigraph,
                         stack.append(v)
     if keep.all():
         return graph
-    return graph.subgraph(np.flatnonzero(keep).tolist())
+    return graph.subgraph(np.flatnonzero(keep))
 
 
 # -- undirected projection -----------------------------------------------------
 
 
-def project_undirected(graph: SignedDigraph) -> SignedGraph:
-    """Collapse the digraph onto unordered pairs.
+def _cancelled(graph: SignedDigraph) -> np.ndarray:
+    """Per edge (u, v), whether (v, u) is an edge of the opposite sign, so
+    that the projection cancels the pair: pair keys carry the sign in their
+    lowest bit, and each edge looks up its reverse with the other sign."""
+    n = graph.n_nodes
+    signed = (graph.src * n + graph.dst) * 2 + (graph.sgn > 0)  # sorted
+    opposite = (graph.dst * n + graph.src) * 2 + (graph.sgn < 0)
+    at = np.searchsorted(signed, opposite)
+    return np.append(signed, -1)[at] == opposite  # -1: past the last key
 
-    Both directions present with equal sign -> one edge with that sign;
+
+def project_undirected(graph: SignedDigraph) -> SignedDigraph:
+    """Collapse the digraph onto unordered pairs, as a symmetric digraph on
+    the same ids: every kept pair appears in both directions with its one
+    sign.
+
+    Both directions present with equal sign -> the pair keeps that sign;
     opposite signs -> the pair cancels out entirely; a single direction is
     kept with its sign.
     """
-    edges = []
-    for (u, v), s in graph.sign.items():
-        if u > v:
-            continue
-        back = graph.sign.get((v, u))
-        if back is None or back == s:
-            edges.append((graph.ids[u], graph.ids[v], s))
-    for (u, v), s in graph.sign.items():
-        if u < v or (v, u) in graph.sign:
-            continue
-        edges.append((graph.ids[v], graph.ids[u], s))
-    return SignedGraph(edges, nodes=graph.ids)
+    kept = ~_cancelled(graph)
+    src, dst, sgn = graph.src[kept], graph.dst[kept], graph.sgn[kept]
+    n = graph.n_nodes
+    # each kept edge in both directions; the two edges of an agreeing
+    # reciprocal pair give the same two keys, of which one is kept
+    pairs, first = np.unique(np.concatenate([src * n + dst, dst * n + src]),
+                             return_index=True)
+    return SignedDigraph._from_arrays(graph.ids, *np.divmod(pairs, n),
+                                      np.concatenate([sgn, sgn])[first])
 
 
 def cancelled_pairs(graph: SignedDigraph) -> list[tuple[str, str]]:
-    """Unordered pairs removed by the projection's sign-mismatch rule."""
-    pairs = []
-    for (u, v), s in graph.sign.items():
-        if u < v and graph.sign.get((v, u)) == -s:
-            pairs.append((graph.ids[u], graph.ids[v]))
-    return sorted(pairs)
+    """Unordered pairs removed by the projection's sign-mismatch rule,
+    sorted (index order is id order)."""
+    cancelled = _cancelled(graph) & (graph.src < graph.dst)
+    ids = graph.ids
+    return [(ids[u], ids[v]) for u, v in zip(graph.src[cancelled].tolist(),
+                                             graph.dst[cancelled].tolist())]
 
 
 # -- canonical dump --------------------------------------------------------------
@@ -449,7 +441,7 @@ def dump_tsv(graph: SignedDigraph, target) -> None:
     fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
     try:
         for u, v, s in graph.edge_items():
-            fh.write(f"{u}\t{v}\t{s:+d}\n")
+            fh.write(f"{u}\t{v}\t{'+1' if s > 0 else '-1'}\n")
     finally:
         if own:
             fh.close()

@@ -127,12 +127,8 @@ def metrics(graph: SignedDigraph) -> GraphMetrics:
     if n < 2:
         raise UndefinedResultError(
             "average path length undefined for a singleton component")
-    # renumber the giant in index order; an edge is inside it when its
-    # source is
-    position = np.full(graph.n_nodes, -1, dtype=np.int64)
-    position[giant] = np.arange(n)
-    inside = position[src] >= 0
-    src, dst = position[src[inside]], position[dst[inside]]
+    if n < graph.n_nodes:
+        src, dst = graph.subgraph(giant).edge_index_arrays()
     density = len(src) / (n * (n - 1))
 
     # int64, since common-neighbour counts of narrower entries would wrap;
@@ -156,9 +152,9 @@ def metrics(graph: SignedDigraph) -> GraphMetrics:
     clustering = float(local.mean())
 
     dist = shortest_path(mat, method="D", directed=False, unweighted=True)
-    finite = dist[np.isfinite(dist)]
-    # reachable ordered pairs, excluding the diagonal
-    apl = float((finite.sum()) / (len(finite) - n))
+    # the giant is connected, so every ordered pair off the diagonal is
+    # reachable; the distances are integers, so the sum is exact
+    apl = float(dist.sum() / (n * (n - 1)))
     return GraphMetrics(
         node_count=n,
         edge_count=len(src),

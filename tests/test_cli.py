@@ -117,6 +117,26 @@ def test_directory_input_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "{tsv}", "--threshold", "nan", "--out", "{out}"],
+    ["analyze", "--input", "{tsv}", "--threshold", "inf", "--out", "{out}"],
+    ["oracle-check", "--input", "{tmp}/missing.tsv"],
+    ["oracle-check", "--input", "{matrix}"],
+    ["gen-random", "--n", "5", "--edge-prob", "2", "--out", "{out}"],
+    ["gen-random", "--n", "5", "--edge-prob", "0.2",
+     "--out", "{tmp}/missing/r.tsv"],
+], ids=["threshold-nan", "threshold-inf", "oracle-missing-input",
+        "oracle-matrix-as-tsv", "gen-edge-prob", "gen-missing-out-dir"])
+def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, argv):
+    paths = {"tmp": tmp_path, "out": tmp_path / "out",
+             "tsv": _write(tmp_path, "g.tsv", TRIANGLE_TSV),
+             "matrix": _write(tmp_path, "m.txt", "0 1 1\n1 0 1\n1 1 0\n")}
+    rc = main([arg.format(**paths) for arg in argv])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_transitive_triads_exits_3(tmp_path):
     data = _write(tmp_path, "cycle.tsv", CYCLE_ONLY_TSV)
     out = tmp_path / "out"

@@ -9,6 +9,7 @@ from triadbalance import (EdgeRecord, PreprocessConfig, SignedDigraph,
                           load_edge_records, load_tsv, metrics, preprocess,
                           project_undirected)
 from triadbalance.errors import FormatError, ParseError
+from triadbalance.graphs import AGGREGATE_RULES
 from triadbalance.oracle import random_signed_digraph
 
 
@@ -121,6 +122,64 @@ def test_duplicate_edge_rejected():
 def test_zero_sign_rejected():
     with pytest.raises(ValueError, match="sign"):
         SignedDigraph([("a", "b", 0)])
+
+
+def _reference_build_graph(records, config):
+    """Parallel records bucketed by their pair of id strings, aggregated and
+    thresholded one pair at a time."""
+    buckets = {}
+    for rec in records:
+        if rec.source != rec.target:
+            buckets.setdefault((rec.source, rec.target), []).append(rec.weight)
+    edges = []
+    for (u, v), weights in buckets.items():
+        if config.aggregate_rule == "sum-then-sign":
+            agg = sum(weights)
+        elif config.aggregate_rule == "mean-then-sign":
+            agg = sum(weights) / len(weights)
+        else:
+            agg = weights[-1]
+        if agg != config.sign_threshold:
+            edges.append((u, v, 1 if agg > config.sign_threshold else -1))
+    return SignedDigraph(edges)
+
+
+# "9" < "10" in numeric but not in string order; numpy's unicode dtype would
+# merge "a" and "a\x00"; the weights sum or average exactly to 0, 0.5 and
+# -0.2 in some combinations
+record_lists = st.lists(
+    st.builds(EdgeRecord,
+              st.sampled_from(["9", "10", "a", "a\x00", "é"]),
+              st.sampled_from(["9", "10", "a", "a\x00", "é"]),
+              st.sampled_from([-1.0, -0.5, -0.2, 0.0, 0.25, 0.5, 1.0, 3.0])),
+    max_size=30)
+
+
+@given(records=record_lists)
+@example(records=[
+    EdgeRecord("9", "10", 1.0), EdgeRecord("9", "10", -1.0),
+    EdgeRecord("a", "a\x00", 0.5), EdgeRecord("a\x00", "a", -0.2),
+    EdgeRecord("é", "é", 3.0), EdgeRecord("10", "é", 0.25),
+    EdgeRecord("10", "é", 0.25), EdgeRecord("10", "é", -1.0)])
+@settings(max_examples=150, deadline=None)
+def test_build_graph_matches_reference(records):
+    for rule in AGGREGATE_RULES:
+        for threshold in (0.0, 0.5, -0.2):
+            config = PreprocessConfig(sign_threshold=threshold,
+                                      aggregate_rule=rule)
+            g = build_graph(records, config)
+            ref = _reference_build_graph(records, config)
+            assert g.ids == ref.ids
+            assert list(g.edge_items()) == list(ref.edge_items())
+            for ours, theirs in zip(g.edge_index_arrays(),
+                                    ref.edge_index_arrays()):
+                assert ours.tolist() == theirs.tolist()
+            rebuilt = SignedDigraph(list(g.edge_items()), nodes=g.ids)
+            assert rebuilt.ids == g.ids
+            assert list(rebuilt.edge_items()) == list(g.edge_items())
+            assert rebuilt.sign == g.sign
+            with pytest.raises(ValueError):
+                g.src[:1] = 0
 
 
 # -- preprocessing ----------------------------------------------------------------
@@ -272,7 +331,8 @@ def test_dump_rebuild_round_trip(seed):
 def test_projection_agreement():
     g = SignedDigraph([("u", "v", 1), ("v", "u", 1)])
     p = project_undirected(g)
-    assert p.sign_of("u", "v") == 1 and p.n_edges == 1
+    assert p.sign_of("u", "v") == p.sign_of("v", "u") == 1
+    assert p.n_edges == 2
 
 
 def test_projection_mismatch_cancels():
@@ -293,8 +353,9 @@ def test_projection_single_direction_kept():
 def test_projection_edge_bound(seed):
     g = random_signed_digraph(10, 0.4, 0.5, seed)
     p = project_undirected(g)
+    assert all(p.sign_of(v, u) == s for u, v, s in p.edge_items())
     pairs = {(min(u, v), max(u, v)) for (u, v) in g.sign}
-    assert p.n_edges <= len(pairs)
+    assert {(min(u, v), max(u, v)) for (u, v) in p.sign} <= pairs
 
 
 @given(seed=st.integers(0, 10**6))
@@ -315,6 +376,6 @@ def test_symmetric_projection_halves_edges(seed):
         [(sym.ids[u], sym.ids[v], fixed[(min(u, v), max(u, v))])
          for (u, v) in sym.sign], nodes=sym.ids)
     p = project_undirected(sym)
-    assert sym.n_edges == 2 * p.n_edges
-    for u, v, s in p.edge_items():
-        assert sym.sign_of(u, v) == s and sym.sign_of(v, u) == s
+    assert list(p.edge_items()) == list(sym.edge_items())
+    assert len({(min(u, v), max(u, v)) for (u, v) in p.sign}) \
+        == sym.n_edges / 2

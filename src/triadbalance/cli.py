@@ -212,6 +212,13 @@ def run(config: RunConfig) -> int:
         return _input_error(exc)
     if not os.path.exists(config.input_path):
         return _input_error(f"input file not found: {config.input_path}")
+    # checked before the input is read, but created only once every report
+    # is computed, so a run that fails leaves no directory behind
+    out_dir = Path(config.out_dir)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
+        return _input_error(f"cannot create output directory {out_dir}: "
+                            f"{existing} is not a writable directory")
     try:
         built, pre, n_records = _load_preprocessed(config)
         input_sha256 = _sha256(config.input_path)
@@ -227,7 +234,6 @@ def run(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_TRIADS
 
-    out_dir = Path(config.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

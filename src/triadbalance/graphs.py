@@ -125,6 +125,12 @@ class SignedDigraph:
         g.adj = [o | i for o, i in zip(g.out, g.inn)]
         return g
 
+    def __reduce__(self):
+        # a pickle carries only the ids and edge arrays; loading rebuilds the
+        # derived structures and makes the arrays read-only again
+        return (type(self)._from_arrays, (self.ids, self.src, self.dst,
+                                          self.sgn))
+
     # -- string-facing convenience -------------------------------------------
 
     @property

@@ -5,7 +5,10 @@ Composition is keyed by the sign multiset of a triple or triangle
 deliberately discarded.  Descriptive measures follow the usual convention
 for directed data: density counts ordered pairs on the digraph, while
 transitivity, clustering and path length are computed on the unsigned
-undirected skeleton (any directed edge induces a skeleton edge).
+undirected skeleton (any directed edge induces a skeleton edge).  The
+average path length is exact, from a bit-parallel multi-source BFS over the
+skeleton (Then et al., VLDB 2014), in O(m) memory per sweep of 512 sources
+rather than an O(n^2) distance matrix.
 """
 from __future__ import annotations
 
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .census import TriadTallies, scan_triads
 from .errors import UndefinedResultError
@@ -29,6 +31,10 @@ METRIC_BASIS = {
     "clustering_coefficient": "undirected-skeleton",
     "avg_path_length": "undirected-skeleton",
 }
+
+#: uint64 words of BFS sources per node in one path-length sweep, so one
+#: sweep runs 64 * _SWEEP_WORDS breadth-first searches at once
+_SWEEP_WORDS = 8
 
 
 @dataclass(frozen=True)
@@ -115,6 +121,40 @@ class GraphMetrics:
         ]
 
 
+def _distance_sum(indptr: np.ndarray, indices: np.ndarray) -> int:
+    """Sum of the BFS distances over all ordered pairs of a connected
+    unweighted graph in CSR form, by bit-parallel multi-source BFS.
+
+    Bit b of word w of a node's row stands for source 64 * w + b of the
+    sweep.  One level ORs the frontier rows of each node's neighbours, so
+    every source of the sweep advances one step; the sources newly reached
+    are at that level's distance.
+    """
+    n = len(indptr) - 1
+    # every row of a connected graph with n >= 2 has a neighbour, so no
+    # reduceat segment is empty (an empty one would yield its start element)
+    starts = indptr[:-1]
+    per_sweep = 64 * _SWEEP_WORDS
+    total = 0
+    for first in range(0, n, per_sweep):
+        sources = np.arange(min(per_sweep, n - first))
+        frontier = np.zeros((n, _SWEEP_WORDS), dtype=np.uint64)
+        frontier[first + sources, sources // 64] = (
+            np.uint64(1) << (sources % 64).astype(np.uint64))
+        unvisited = ~frontier
+        level = 0
+        while True:
+            level += 1
+            frontier = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+            frontier &= unvisited
+            reached = int(np.bitwise_count(frontier).sum())
+            if not reached:
+                break
+            total += level * reached
+            unvisited ^= frontier
+    return total
+
+
 def metrics(graph: SignedDigraph) -> GraphMetrics:
     """Descriptive measures, computed on the giant weakly-connected component.
 
@@ -151,10 +191,9 @@ def metrics(graph: SignedDigraph) -> GraphMetrics:
                          2.0 * tri_per_node / (degrees * (degrees - 1.0)), 0.0)
     clustering = float(local.mean())
 
-    dist = shortest_path(mat, method="D", directed=False, unweighted=True)
     # the giant is connected, so every ordered pair off the diagonal is
-    # reachable; the distances are integers, so the sum is exact
-    apl = float(dist.sum() / (n * (n - 1)))
+    # reachable; the exact integer sum is divided once, correctly rounded
+    apl = _distance_sum(mat.indptr, mat.indices) / (n * (n - 1))
     return GraphMetrics(
         node_count=n,
         edge_count=len(src),

@@ -247,11 +247,19 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_unwritable_out_dir_exits_2(tmp_path):
+def test_unwritable_out_dir_exits_2(tmp_path, monkeypatch, capsys):
+    # the output directory is checked before any report is computed
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan_triads called before --out was checked")
+
+    monkeypatch.setattr(triadbalance.cli, "scan_triads", no_scan)
     data = _write(tmp_path, "g.tsv", TRIANGLE_TSV)
     blocker = _write(tmp_path, "not-a-dir", "")
-    rc = main(["analyze", "--input", str(data), "--out", str(blocker)])
-    assert rc == 2
+    for out in (blocker, blocker / "sub"):
+        rc = main(["analyze", "--input", str(data), "--out", str(out)])
+        assert rc == 2
+        assert "error: cannot create output directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv", "not-a-dir"]
 
 
 def test_balance_threads_env_cap(monkeypatch):

@@ -1,4 +1,5 @@
 import io
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -323,6 +324,18 @@ def test_dump_rebuild_round_trip(seed):
     dump_tsv(g, buf)
     rebuilt = load_tsv(io.StringIO(buf.getvalue()))
     assert set(rebuilt.edge_items()) == set(g.edge_items())
+
+
+def test_pickle_round_trip_sends_arrays_only():
+    g = random_signed_digraph(60, 0.1, 0.4, 7)
+    data = pickle.dumps(g)
+    loaded = pickle.loads(data)
+    assert list(loaded.edge_items()) == list(g.edge_items())
+    assert loaded.ids == g.ids and loaded.sign == g.sign and loaded.adj == g.adj
+    for array in (loaded.src, loaded.dst, loaded.sgn):
+        assert not array.flags.writeable
+    # the derived sign dict and neighbour sets are rebuilt, not carried
+    assert len(data) < len(pickle.dumps((g.ids, g.src, g.dst, g.sgn))) + 200
 
 
 # -- undirected projection ---------------------------------------------------------

@@ -1,6 +1,7 @@
 from collections import deque
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +129,43 @@ def test_metrics_singleton_undefined():
     g = SignedDigraph(nodes=["a"])
     with pytest.raises(UndefinedResultError):
         metrics(g)
+
+
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 512, 513, 1100])
+def test_metrics_path_graph_exact(n):
+    # partial words, several sweeps of 512 sources and over 1000 BFS levels;
+    # the ordered-pair distances of a path sum to n (n - 1) (n + 1) / 3
+    g = SignedDigraph([(f"v{i}", f"v{i + 1}", 1) for i in range(n - 1)])
+    assert metrics(g).avg_path_length == (n + 1) / 3
+
+
+@st.composite
+def _connected_digraphs(draw):
+    n = draw(st.integers(2, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a random tree keeps the graph connected; extra arcs close cycles
+    tail = np.arange(1, n)
+    head = (rng.random(n - 1) * tail).astype(np.int64)
+    extra = rng.integers(0, n, size=(2, draw(st.integers(0, 3 * n))))
+    u = np.concatenate([tail, extra[0]])
+    v = np.concatenate([head, extra[1]])
+    flip = rng.random(len(u)) < 0.5
+    u, v = np.where(flip, v, u), np.where(flip, u, v)
+    pairs = {(a, b) for a, b in zip(u.tolist(), v.tolist()) if a != b}
+    return SignedDigraph([(f"n{a}", f"n{b}", 1) for a, b in sorted(pairs)])
+
+
+@given(g=_connected_digraphs())
+@settings(max_examples=30, deadline=None)
+def test_avg_path_length_matches_dense_reference(g):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    n = g.n_nodes
+    src, dst = g.edge_index_arrays()
+    mat = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    dist = shortest_path(mat, directed=False, unweighted=True)
+    assert metrics(g).avg_path_length == float(dist.sum() / (n * (n - 1)))
 
 
 def _skeleton(graph):

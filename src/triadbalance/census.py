@@ -1,12 +1,17 @@
 """Triad census for signed digraphs.
 
-One pass visits the triangles (triads whose three dyads are all connected),
-taking each node u as the smallest index and intersecting the adjacency
-sets of its higher neighbours; it feeds every census, balance, composition
-and comparison figure.  The six open classes have exactly one centre node,
-so they follow from per-node degree counts minus the centre wedges inside
-the triangles (Moody 1998; Batagelj & Mrvar 2001), and the three
-disconnected classes (003, 012, 102) from complement counting.
+One pass lists the triangles (triads whose three dyads are all connected)
+and feeds every census, balance, composition and comparison figure.  It is
+the degree-ordered forward algorithm (Chiba & Nishizeki 1985; Latapy 2008)
+in numpy, in one process: each skeleton edge points toward the node of
+higher (degree, index) rank, the wedges of each node's out-neighbours are
+listed in fixed-size chunks, and one binary search over the oriented edge
+keys closes them.  Each triangle then gets a 12-bit index, its 6-bit dyad
+code plus the signs of the edges present, and one table folds the counts of
+those indices into the tallies.  The six open classes have exactly one
+centre node, so they follow from per-node degree counts minus the centre
+wedges inside the triangles (Moody 1998; Batagelj & Mrvar 2001), and the
+three disconnected classes (003, 012, 102) from complement counting.
 
 Classification uses the 16 Mutual/Asymmetric/Null isomorphism classes.  The
 four transitive classes (030T, 120D, 120U, 300) carry 1, 2, 2 and 6 ordered
@@ -15,15 +20,16 @@ balance layer.
 """
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from itertools import permutations
 from math import comb
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 from .errors import NonTransitiveTriadError
-from .graphs import SignedDigraph
+from .graphs import SignedDigraph, find_keys, skeleton_csr
 
 TRIAD_TYPES = ("003", "012", "102", "021D", "021U", "021C", "111D", "111U",
                "030T", "030C", "201", "120D", "120U", "120C", "210", "300")
@@ -131,9 +137,37 @@ _CENTRE_WEDGES = {
     for code in range(64) if all(code & mask for mask in _OPPOSITE_DYAD)}
 
 
-def _dyad_code(out: list[set[int]], i: int, j: int, k: int) -> int:
-    return ((j in out[i]) | ((i in out[j]) << 1) | ((k in out[i]) << 2)
-            | ((i in out[k]) << 3) | ((k in out[j]) << 4) | ((j in out[k]) << 5))
+def _triad_indexer(graph: SignedDigraph):
+    """Function giving the 12-bit index of each triad (x, y, z), for index
+    arrays x, y, z: the 6-bit dyad code, plus bit 6 + b set when the edge
+    of code bit b is present and negative."""
+    n = graph.n_nodes
+    keys = graph.pair_keys()
+    negative = np.append(graph.sgn < 0, False)  # position -1: no edge
+
+    def triad_index(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        index = np.zeros(len(x), dtype=np.int64)
+        for bit, (a, b) in enumerate(((x, y), (y, x), (x, z), (z, x), (y, z),
+                                      (z, y))):
+            at = find_keys(keys, a * n + b)
+            index |= (at >= 0).astype(np.int64) << bit
+            index |= negative[at].astype(np.int64) << (bit + 6)
+        return index
+    return triad_index
+
+
+def _one_index(graph: SignedDigraph, nodes: tuple[int, int, int]) -> int:
+    return int(_triad_indexer(graph)(*(np.array([i]) for i in nodes))[0])
+
+
+def _triples(ids: tuple[str, ...], nodes: tuple[int, int, int],
+             index: int) -> tuple[Triple, ...]:
+    """The transitive triples of the triad on `nodes` with this index."""
+    def sign(pair):
+        return -1 if index >> (6 + _BIT[pair]) & 1 else 1
+    return tuple(Triple(ids[nodes[s]], ids[nodes[m]], ids[nodes[t]],
+                        (sign((s, m)), sign((m, t)), sign((s, t))))
+                 for s, m, t in _CODE_TRIPLES[index & 63])
 
 
 def classify_man(graph: SignedDigraph, a: str, b: str, c: str) -> str:
@@ -144,20 +178,7 @@ def classify_man(graph: SignedDigraph, a: str, b: str, c: str) -> str:
         idx = (graph.index[a], graph.index[b], graph.index[c])
     except KeyError as exc:
         raise KeyError(f"unknown node id {exc.args[0]!r}") from None
-    return _CODE_CLASS[_dyad_code(graph.out, *idx)]
-
-
-def _build_triples(graph: SignedDigraph, i: int, j: int, k: int,
-                   code: int) -> tuple[Triple, ...]:
-    nodes = (i, j, k)
-    sign = graph.sign
-    ids = graph.ids
-    triples = []
-    for s, m, t in _CODE_TRIPLES[code]:
-        si, mi, ti = nodes[s], nodes[m], nodes[t]
-        triples.append(Triple(ids[si], ids[mi], ids[ti],
-                              (sign[(si, mi)], sign[(mi, ti)], sign[(si, ti)])))
-    return tuple(triples)
+    return _CODE_CLASS[_one_index(graph, idx) & 63]
 
 
 def enumerate_triads(graph: SignedDigraph) -> Iterator[Triad]:
@@ -168,7 +189,10 @@ def enumerate_triads(graph: SignedDigraph) -> Iterator[Triad]:
     plus, for each higher neighbour v, the neighbours of v that u does not
     reach; the triple scan over all C(n, 3) combinations is never performed.
     """
-    adj, out, ids = graph.adj, graph.out, graph.ids
+    bounds, cols = (array.tolist() for array in skeleton_csr(
+        graph.n_nodes, graph.src, graph.dst))
+    adj = [set(cols[a:b]) for a, b in zip(bounds, bounds[1:])]
+    found = []
     for u in range(graph.n_nodes):
         au = adj[u]
         higher = sorted(x for x in au if x > u)
@@ -179,12 +203,13 @@ def enumerate_triads(graph: SignedDigraph) -> Iterator[Triad]:
             for w in adj[v]:
                 if w > u and w not in au:
                     cands.add((v, w) if v < w else (w, v))
-        for v, w in sorted(cands):
-            code = _dyad_code(out, u, v, w)
-            cls = _CODE_CLASS[code]
-            triples = (_build_triples(graph, u, v, w, code)
-                       if cls in _TRANSITIVE_SET else ())
-            yield Triad((ids[u], ids[v], ids[w]), cls, triples)
+        found.extend((u, v, w) for v, w in sorted(cands))
+    nodes = np.array(found, dtype=np.int64).reshape(-1, 3)
+    ids = graph.ids
+    for triad, index in zip(found, _triad_indexer(graph)(*nodes.T).tolist()):
+        cls = _CODE_CLASS[index & 63]
+        yield Triad(tuple(ids[i] for i in triad), cls,
+                    _triples(ids, triad, index))
 
 
 def transitive_triples(graph: SignedDigraph, triad: Triad) -> list[Triple]:
@@ -193,17 +218,93 @@ def transitive_triples(graph: SignedDigraph, triad: Triad) -> list[Triple]:
         raise NonTransitiveTriadError(
             f"triad {triad.nodes} has type {triad.type}; transitive triples "
             f"are defined only for {TRANSITIVE_TYPES}")
-    idx = sorted(graph.index[x] for x in triad.nodes)
-    code = _dyad_code(graph.out, *idx)
-    return list(_build_triples(graph, *idx, code))
+    idx = tuple(sorted(graph.index[x] for x in triad.nodes))
+    return list(_triples(graph.ids, idx, _one_index(graph, idx)))
 
 
-# -- aggregated scan -------------------------------------------------------------
+# -- triangle pass ----------------------------------------------------------------
+
+#: wedges closed per step of the triangle pass, which bounds its memory
+#: (the wedges of one edge, at most the square root of twice the edge
+#: count under the degree order, may overshoot it)
+_WEDGE_CHUNK = 1 << 18
+
+
+def _triangle_chunks(indptr: np.ndarray,
+                     indices: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The triangles of an undirected simple graph in CSR form, as arrays
+    (x, y, z) of node indices, one chunk of wedges at a time.
+
+    Each edge points from the lower to the higher (degree, index) rank; a
+    triangle is found once, at its lowest-ranked node x, as the wedge of
+    two out-edges x -> y, x -> z closed by the edge y -> z.
+    """
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    node = np.argsort(degree, kind="stable")  # rank -> node
+    rank = np.empty(n, dtype=np.int64)
+    rank[node] = np.arange(n)
+    tail = rank[np.repeat(np.arange(n), degree)]
+    head = rank[indices]
+    up = tail < head
+    keys = np.sort(tail[up] * n + head[up])  # oriented edges, in rank space
+    tail, head = np.divmod(keys, n)
+    row_end = np.cumsum(np.bincount(tail, minlength=n))
+    # edge e opens one wedge with each later edge of its row
+    later = row_end[tail] - 1 - np.arange(len(tail))
+    opened = np.cumsum(later)
+    first = 0
+    while first < len(tail):
+        done = opened[first - 1] if first else 0
+        stop = max(int(np.searchsorted(opened, done + _WEDGE_CHUNK, "right")),
+                   first + 1)
+        count = later[first:stop]
+        edge = np.repeat(np.arange(first, stop), count)
+        # the k-th wedge of edge e pairs it with edge e + 1 + k
+        partner = (edge + 1 + np.arange(len(edge))
+                   - np.repeat(np.cumsum(count) - count, count))
+        want = head[edge] * n + head[partner]
+        closed = find_keys(keys, want) >= 0
+        edge = edge[closed]
+        yield node[tail[edge]], node[head[edge]], node[head[partner[closed]]]
+        first = stop
+
+
+def _fold_entry(code: int, negative: int) -> tuple:
+    """Per triangle of this dyad code and negative-edge bits: its class,
+    balanced transitive triples, triples per composition bin, and negative
+    sides in the projection (None when a sign-mismatched pair cancels)."""
+    comp = [0, 0, 0, 0]
+    balanced = 0
+    for s, m, t in _CODE_TRIPLES[code]:
+        neg = sum(negative >> _BIT[p] & 1 for p in ((s, m), (m, t), (s, t)))
+        comp[neg] += 1
+        balanced += not neg & 1
+    projected = 0
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        signs = {negative >> bit & 1 for bit in (_BIT[(a, b)], _BIT[(b, a)])
+                 if code >> bit & 1}
+        if len(signs) > 1:
+            projected = None
+            break
+        projected += signs.pop()
+    return _CODE_CLASS[code], balanced, comp, projected
+
+
+#: 12-bit triangle index -> `_fold_entry`, for every index a triangle can
+#: have: a closed dyad code, with negative bits only where edges are
+_FOLD = {code | negative << 6: _fold_entry(code, negative)
+         for code in range(64) if all(code & mask for mask in _OPPOSITE_DYAD)
+         for negative in range(64) if not negative & ~code}
+#: indices of projected triangles without a transitive triple
+_UNDIRECTED_ONLY = np.zeros(1 << 12, dtype=bool)
+_UNDIRECTED_ONLY[[index for index, (cls, _, _, projected) in _FOLD.items()
+                  if projected is not None and cls not in _TRANSITIVE_SET]] = True
 
 
 @dataclass
 class TriadTallies:
-    """Mergeable, all-integer aggregate of one pass over the triangles.
+    """All-integer aggregate of one pass over the triangles.
 
     `census` counts triangles per closed class only (see
     `census_from_tallies`).  `undirected` counts the triangles of the
@@ -220,103 +321,12 @@ class TriadTallies:
     undirected: dict = field(default_factory=lambda: {c: 0 for c in _COMPOSITIONS})
     undirected_only: list = field(default_factory=list)
 
-    def merge(self, other: "TriadTallies") -> "TriadTallies":
-        for name in ("census", "type_triads", "type_balanced",
-                     "classification", "composition", "undirected"):
-            mine, theirs = getattr(self, name), getattr(other, name)
-            for key, val in theirs.items():
-                mine[key] = mine.get(key, 0) + val
-        self.undirected_only.extend(other.undirected_only)
-        return self
-
-
-def _projected_negatives(sign: dict, u: int, v: int, w: int) -> int | None:
-    """Negative sides of the triangle {u, v, w} in the undirected projection,
-    or None when a reciprocal pair with opposite signs cancels a side."""
-    neg = 0
-    for a, b in ((u, v), (u, w), (v, w)):
-        s = sign.get((a, b)) or sign[(b, a)]
-        if sign.get((b, a), s) != s:
-            return None
-        neg += s < 0
-    return neg
-
-
-def _scan_range(graph: SignedDigraph, start: int, step: int) -> TriadTallies:
-    census: dict[str, int] = {}
-    type_triads: dict[str, int] = {}
-    type_balanced: dict[str, int] = {}
-    comp = [0, 0, 0, 0]          # indexed by number of negative signs
-    und = [0, 0, 0, 0]           # likewise, over projected triangles
-    cls_counts = [0, 0, 0]       # completely / partially / completely-imbalanced
-    undirected_only = []
-    adj, out, sign, ids = graph.adj, graph.out, graph.sign, graph.ids
-    code_class, code_triples = _CODE_CLASS, _CODE_TRIPLES
-
-    for u in range(start, graph.n_nodes, step):
-        higher = {x for x in adj[u] if x > u}
-        for v in higher:
-            for w in adj[v] & higher:
-                if w < v:
-                    continue
-                code = ((v in out[u]) | ((u in out[v]) << 1)
-                        | ((w in out[u]) << 2) | ((u in out[w]) << 3)
-                        | ((w in out[v]) << 4) | ((v in out[w]) << 5))
-                cls = code_class[code]
-                census[cls] = census.get(cls, 0) + 1
-                perms = code_triples[code]
-                projected = _projected_negatives(sign, u, v, w)
-                if projected is not None:
-                    und[projected] += 1
-                    if not perms:
-                        undirected_only.append((ids[u], ids[v], ids[w]))
-                if not perms:
-                    continue
-                nodes = (u, v, w)
-                balanced = 0
-                for s, m, t in perms:
-                    si, mi, ti = nodes[s], nodes[m], nodes[t]
-                    neg = ((sign[(si, mi)] < 0) + (sign[(mi, ti)] < 0)
-                           + (sign[(si, ti)] < 0))
-                    if not neg & 1:
-                        balanced += 1
-                    comp[neg] += 1
-                type_triads[cls] = type_triads.get(cls, 0) + 1
-                type_balanced[cls] = type_balanced.get(cls, 0) + balanced
-                if balanced == len(perms):
-                    cls_counts[0] += 1
-                elif balanced:
-                    cls_counts[1] += 1
-                else:
-                    cls_counts[2] += 1
-    return TriadTallies(
-        census=census,
-        type_triads=type_triads,
-        type_balanced=type_balanced,
-        classification=dict(zip(CLASSIFICATIONS, cls_counts)),
-        composition=dict(zip(_COMPOSITIONS, comp)),
-        undirected=dict(zip(_COMPOSITIONS, und)),
-        undirected_only=undirected_only,
-    )
-
-
-_POOL_GRAPH: SignedDigraph | None = None
-
-
-def _pool_init(graph: SignedDigraph) -> None:
-    global _POOL_GRAPH
-    _POOL_GRAPH = graph
-
-
-def _pool_scan(args: tuple[int, int]) -> TriadTallies:
-    start, step = args
-    return _scan_range(_POOL_GRAPH, start, step)
-
 
 def resolve_workers(requested: int | None = None) -> int:
     """Worker budget: the explicit request or the CPU count, capped by the
     CPUs this process may run on and by the BALANCE_THREADS environment
-    variable."""
+    variable.  It is recorded in run manifests; the triangle pass itself
+    runs in one process whatever the budget."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not available on every platform
@@ -332,29 +342,53 @@ def resolve_workers(requested: int | None = None) -> int:
 
 
 def scan_triads(graph: SignedDigraph, workers: int = 1) -> TriadTallies:
-    """One pass over the triangles, optionally partitioned over worker
-    processes.
+    """One pass over the triangles, in this process.
 
-    Pivot nodes are distributed round-robin; partial tallies merge by
-    summation and `undirected_only` is sorted, so results are identical for
-    any worker count.
+    `workers` is accepted for callers that pass a worker budget and does
+    not change the pass.  The tallies are all integer and
+    `undirected_only` is sorted, so results do not depend on the chunking.
     """
-    workers = resolve_workers(workers)
-    chunks = [(k, workers) for k in range(workers)]
-    if workers == 1 or graph.n_nodes < 4 * workers:
-        parts = [_scan_range(graph, 0, 1)]
-    else:
-        # forked children inherit the initializer's graph; nothing is pickled
-        fork = "fork" in multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context("fork" if fork else None)
-        with ctx.Pool(workers, initializer=_pool_init,
-                      initargs=(graph,)) as pool:
-            parts = pool.map(_pool_scan, chunks)
-    merged = TriadTallies()
-    for part in parts:
-        merged.merge(part)
-    merged.undirected_only.sort()
-    return merged
+    counts = np.zeros(1 << 12, dtype=np.int64)
+    undirected_only = [np.zeros((0, 3), dtype=np.int64)]
+    triad_index = _triad_indexer(graph)
+    for x, y, z in _triangle_chunks(*skeleton_csr(graph.n_nodes, graph.src,
+                                                  graph.dst)):
+        index = triad_index(x, y, z)
+        counts += np.bincount(index, minlength=1 << 12)
+        only = _UNDIRECTED_ONLY[index]
+        undirected_only.append(np.sort(np.stack([x[only], y[only], z[only]],
+                                                axis=1), axis=1))
+    census: dict[str, int] = {}
+    type_triads: dict[str, int] = {}
+    type_balanced: dict[str, int] = {}
+    comp, und, cls_counts = [0] * 4, [0] * 4, [0] * 3
+    for index in np.flatnonzero(counts).tolist():
+        k = int(counts[index])
+        cls, balanced, triple_bins, projected = _FOLD[index]
+        census[cls] = census.get(cls, 0) + k
+        if projected is not None:
+            und[projected] += k
+        if cls not in _TRANSITIVE_SET:
+            continue
+        type_triads[cls] = type_triads.get(cls, 0) + k
+        type_balanced[cls] = type_balanced.get(cls, 0) + balanced * k
+        for neg, triples in enumerate(triple_bins):
+            comp[neg] += triples * k
+        total = TRIPLES_PER_TYPE[cls]
+        cls_counts[0 if balanced == total else 1 if balanced else 2] += k
+    triads = np.concatenate(undirected_only)
+    # index order is id order, so this is the order of the id triples
+    triads = triads[np.lexsort(triads.T[::-1])].tolist()
+    ids = graph.ids
+    return TriadTallies(
+        census=census,
+        type_triads=type_triads,
+        type_balanced=type_balanced,
+        classification=dict(zip(CLASSIFICATIONS, cls_counts)),
+        composition=dict(zip(_COMPOSITIONS, comp)),
+        undirected=dict(zip(_COMPOSITIONS, und)),
+        undirected_only=[(ids[u], ids[v], ids[w]) for u, v, w in triads],
+    )
 
 
 # -- census table -----------------------------------------------------------------
@@ -400,22 +434,25 @@ def census_from_tallies(graph: SignedDigraph,
     counts = {cls: 0 for cls in TRIAD_TYPES}
     counts.update(tallies.census)
     n = graph.n_nodes
-    mutual = 0
-    for u in range(n):
-        m = len(graph.out[u] & graph.inn[u])
-        o = len(graph.out[u]) - m
-        i = len(graph.inn[u]) - m
-        mutual += m
-        counts["021D"] += comb(o, 2)
-        counts["021U"] += comb(i, 2)
-        counts["021C"] += o * i
-        counts["111U"] += m * o
-        counts["111D"] += m * i
-        counts["201"] += comb(m, 2)
+    src, dst = graph.src, graph.dst
+    # the reversed keys found among the keys are those of the edges in
+    # mutual dyads; sorted first, for a faster search
+    reversed_keys = np.sort(dst * n + src)
+    mutual_keys = reversed_keys[find_keys(graph.pair_keys(), reversed_keys) >= 0]
+    m = np.bincount(mutual_keys // n, minlength=n)
+    o = np.bincount(src, minlength=n) - m
+    i = np.bincount(dst, minlength=n) - m
+    # int64 sums cannot wrap: each is at most (edges) * (nodes)
+    counts["021D"] += int((o * (o - 1) // 2).sum())
+    counts["021U"] += int((i * (i - 1) // 2).sum())
+    counts["021C"] += int((o * i).sum())
+    counts["111U"] += int((m * o).sum())
+    counts["111D"] += int((m * i).sum())
+    counts["201"] += int((m * (m - 1) // 2).sum())
     for closed, wedges in _CENTRE_WEDGES.items():
         for wedge in wedges:
             counts[wedge] -= counts[closed]
-    mutual //= 2
+    mutual = int(m.sum()) // 2
     asym = graph.n_edges - 2 * mutual
     used_m = sum(counts[cls] * _DYADS[cls][0] for cls in TRIAD_TYPES)
     used_a = sum(counts[cls] * _DYADS[cls][1] for cls in TRIAD_TYPES)

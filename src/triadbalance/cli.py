@@ -296,8 +296,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--emit", default="json,csv",
                         help="comma list of output formats (json,csv)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: CPU count, capped "
-                             "by BALANCE_THREADS)")
+                        help="worker budget recorded in the manifest "
+                             "(default: CPU count, capped by "
+                             "BALANCE_THREADS); the triangle pass runs in "
+                             "one process")
 
 
 def _config_from_args(args: argparse.Namespace,

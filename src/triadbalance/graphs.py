@@ -3,19 +3,19 @@
 Node ids are opaque strings everywhere at the API surface.  Internally each
 graph maps its ids to dense integer indices (sorted id order) and stores its
 edges once, as read-only source, target and sign arrays sorted by index
-pair; the integer adjacency sets the enumeration code works on, and the
-sign lookup, are derived from those arrays.
+pair, and nothing else: edge lookups search the sorted pair keys, and the
+undirected skeleton that preprocessing, the triangle pass and the metrics
+walk is built from the arrays as a CSR when needed (`skeleton_csr`).
 """
 from __future__ import annotations
 
 import io
+import math
 import os
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import FormatError, ParseError
 
@@ -65,21 +65,16 @@ class SignedDigraph:
     """Immutable signed directed graph.
 
     The edges are stored once, as read-only arrays sorted by (source,
-    target) index; every other attribute is derived from them when the
-    graph is made, by `_from_arrays`:
+    target) index, so the pair keys source * n + target are sorted too and
+    every lookup is a binary search over them:
         ids:   tuple of node id strings, sorted; position = dense index
         index: dict mapping id -> index
         src:   int64 source index of each edge
         dst:   int64 target index of each edge
         sgn:   int8 sign of each edge, +1 | -1
-        sign:  dict mapping ordered index pair (u, v) -> +1 | -1
-        out:   list of successor index sets
-        inn:   list of predecessor index sets
-        adj:   list of union neighbourhood sets (out | inn)
     """
 
-    __slots__ = ("ids", "index", "src", "dst", "sgn", "sign", "out", "inn",
-                 "adj")
+    __slots__ = ("ids", "index", "src", "dst", "sgn")
 
     def __new__(cls, edges: Iterable[tuple[str, str, int]] = (),
                 nodes: Iterable[str] = ()):
@@ -117,17 +112,11 @@ class SignedDigraph:
         g.sgn = np.asarray(sgn, dtype=np.int8)
         for array in (g.src, g.dst, g.sgn):
             array.flags.writeable = False
-        g.sign = dict(zip(zip(g.src.tolist(), g.dst.tolist()),
-                          g.sgn.tolist()))
-        by_dst = np.argsort(g.dst, kind="stable")
-        g.out = _index_sets(g.src, g.dst, len(ids))
-        g.inn = _index_sets(g.dst[by_dst], g.src[by_dst], len(ids))
-        g.adj = [o | i for o, i in zip(g.out, g.inn)]
         return g
 
     def __reduce__(self):
-        # a pickle carries only the ids and edge arrays; loading rebuilds the
-        # derived structures and makes the arrays read-only again
+        # a pickle carries the ids and edge arrays; loading makes the arrays
+        # read-only again
         return (type(self)._from_arrays, (self.ids, self.src, self.dst,
                                           self.sgn))
 
@@ -145,14 +134,26 @@ class SignedDigraph:
     def n_edges(self) -> int:
         return len(self.src)
 
+    def pair_keys(self) -> np.ndarray:
+        """Key source * n + target of each edge; sorted, as the edges are."""
+        return self.src * self.n_nodes + self.dst
+
+    def _position(self, u: str, v: str) -> int:
+        """Position of the edge u -> v in the edge arrays, or -1."""
+        want = self.index[u] * self.n_nodes + self.index[v]
+        return int(find_keys(self.pair_keys(), want))
+
     def has_edge(self, u: str, v: str) -> bool:
         try:
-            return (self.index[u], self.index[v]) in self.sign
+            return self._position(u, v) >= 0
         except KeyError:
             return False
 
     def sign_of(self, u: str, v: str) -> int:
-        return self.sign[(self.index[u], self.index[v])]
+        at = self._position(u, v)
+        if at < 0:
+            raise KeyError((u, v))
+        return int(self.sgn[at])
 
     def edge_items(self) -> Iterator[tuple[str, str, int]]:
         """Edges as (source, target, sign), sorted by index pair."""
@@ -163,7 +164,8 @@ class SignedDigraph:
 
     def total_degree(self, i: int) -> int:
         """In-degree + out-degree of index i (a mutual dyad counts twice)."""
-        return len(self.out[i]) + len(self.inn[i])
+        return int(np.count_nonzero(self.src == i)
+                   + np.count_nonzero(self.dst == i))
 
     def edge_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Sources and targets of the edges as read-only int64 index arrays."""
@@ -189,13 +191,24 @@ class SignedDigraph:
         return f"SignedDigraph(n={self.n_nodes}, m={self.n_edges})"
 
 
-def _index_sets(rows: np.ndarray, cols: np.ndarray,
-                n: int) -> list[set[int]]:
-    """For each index below n, the set of `cols` at its `rows`; `rows` is
-    sorted."""
-    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    cols = cols.tolist()
-    return [set(cols[a:b]) for a, b in zip(bounds, bounds[1:])]
+def find_keys(keys: np.ndarray, want) -> np.ndarray:
+    """Position of each wanted key in the sorted `keys`, or -1 where it is
+    absent.  The search is fastest when `want` is sorted too."""
+    at = np.searchsorted(keys, want)
+    return np.where(np.append(keys, -1)[at] == want, at, -1)
+
+
+def skeleton_csr(n_nodes: int, src: np.ndarray,
+                 dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The undirected simple skeleton of the edges (any directed edge joins
+    its two ends once) in CSR form: the neighbours of node i are
+    `indices[indptr[i]:indptr[i + 1]]`, sorted."""
+    keys = np.sort(np.concatenate([src * n_nodes + dst, dst * n_nodes + src]))
+    # sort plus a neighbour mask: np.unique hashes, which is slower here
+    rows, indices = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n_nodes)
+    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
+    return indptr, indices
 
 
 # -- ingestion ----------------------------------------------------------------
@@ -259,7 +272,7 @@ def _parse_lines(stream: IO[str], fmt: str) -> list[EdgeRecord]:
         if fmt == "csv-rating" and len(parts) == 4:
             try:
                 timestamp = int(float(parts[3]))
-            except ValueError:
+            except (ValueError, OverflowError):  # nan, inf
                 raise ParseError(line_no, f"bad timestamp {parts[3]!r}") from None
         records.append(EdgeRecord(source, target, weight, timestamp))
     return records
@@ -273,9 +286,12 @@ def _parse_matrix(stream: IO[str]) -> list[EdgeRecord]:
             continue
         cells = line.replace(",", " ").split()
         try:
-            rows.append([float(c) for c in cells])
+            row = [float(c) for c in cells]
         except ValueError:
             raise ParseError(line_no, f"non-numeric matrix cell in {line!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError(line_no, f"non-finite matrix cell in {line!r}")
+        rows.append(row)
     n = len(rows)
     for row in rows:
         if len(row) != n:
@@ -340,19 +356,35 @@ def largest_component(n_nodes: int, src: np.ndarray,
     """Indices of the largest weakly-connected component of the graph with
     the given edges, and the number of components.
 
-    Size ties go to the component holding the smallest index, which, ids
-    being sorted, is the one with the smallest minimum id.
+    Labels come from min-label hooking with pointer jumping, so each node
+    ends up labelled with the smallest index of its component.  Size ties
+    go to the component holding the smallest index, which, ids being
+    sorted, is the one with the smallest minimum id.
     """
-    if n_nodes == 0:
+    label = np.arange(n_nodes)
+    while True:
+        # every label is a root here (label[label] == label): hook each root
+        # onto the smallest label across its edges, then jump pointers until
+        # every node points at a root again
+        ends = label[src], label[dst]
+        low = np.minimum(*ends)
+        hooked = label.copy()
+        for end in ends:
+            np.minimum.at(hooked, end, low)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    sizes = np.bincount(label, minlength=n_nodes)
+    count = int(np.count_nonzero(sizes))
+    if not count:
         return np.zeros(0, dtype=np.int64), 0
-    arcs = csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)),
-                      shape=(n_nodes, n_nodes))
-    count, labels = connected_components(arcs, directed=True,
-                                         connection="weak")
-    sizes = np.bincount(labels)
-    # the label of the first node that sits in a component of maximal size
-    label = labels[np.argmax(sizes[labels] == sizes.max())]
-    return np.flatnonzero(labels == label), count
+    # labels are component minima, so argmax's first maximum is the tie rule
+    return np.flatnonzero(label == np.argmax(sizes)), count
 
 
 def preprocess(graph: SignedDigraph,
@@ -378,6 +410,8 @@ def preprocess(graph: SignedDigraph,
                   + np.bincount(dst[live], minlength=n))
         stack = np.flatnonzero(keep & (degree <= 1)).tolist()
         degree = degree.tolist()
+        if stack:
+            indptr, indices = skeleton_csr(n, src, dst)
         # peel one pendant at a time, so the work is bounded by the pruned
         # nodes and their edges however long a pendant chain is
         while stack:
@@ -385,7 +419,8 @@ def preprocess(graph: SignedDigraph,
             if not keep[u]:
                 continue
             keep[u] = False
-            for v in graph.adj[u]:  # at most one kept v, by a single edge
+            # at most one kept v, by a single edge
+            for v in indices[indptr[u]:indptr[u + 1]].tolist():
                 if keep[v]:
                     degree[v] -= 1
                     if degree[v] <= 1:
@@ -403,10 +438,9 @@ def _cancelled(graph: SignedDigraph) -> np.ndarray:
     that the projection cancels the pair: pair keys carry the sign in their
     lowest bit, and each edge looks up its reverse with the other sign."""
     n = graph.n_nodes
-    signed = (graph.src * n + graph.dst) * 2 + (graph.sgn > 0)  # sorted
+    signed = graph.pair_keys() * 2 + (graph.sgn > 0)  # sorted
     opposite = (graph.dst * n + graph.src) * 2 + (graph.sgn < 0)
-    at = np.searchsorted(signed, opposite)
-    return np.append(signed, -1)[at] == opposite  # -1: past the last key
+    return find_keys(signed, opposite) >= 0
 
 
 def project_undirected(graph: SignedDigraph) -> SignedDigraph:

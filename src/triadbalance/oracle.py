@@ -1,8 +1,9 @@
 """Brute-force reference implementations used to validate the fast paths.
 
 Everything here works by exhaustive O(n^3) scans and an explicit
-canonical-pattern table, deliberately sharing no classification or
-enumeration code with the production modules.  Determinism beats speed.
+canonical-pattern table, deliberately sharing no classification,
+enumeration or projection code with the production modules: the graph is
+read only through its edge list.  Determinism beats speed.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from math import fsum
 
 import numpy as np
 
-from .graphs import SignedDigraph, project_undirected
+from .graphs import SignedDigraph
 
 ORACLE_MAX_NODES = 200
 
@@ -75,8 +76,8 @@ def brute_force(graph: SignedDigraph) -> OracleResult:
     if n > ORACLE_MAX_NODES:
         raise ValueError(f"oracle refuses graphs with more than "
                          f"{ORACLE_MAX_NODES} nodes (got {n})")
-    sign = graph.sign
-    ids = graph.ids
+    sign = {(u, v): s for u, v, s in graph.edge_items()}
+    ids = graph.ids  # sorted, so combinations come in index order
 
     census: dict[str, int] = {}
     triads = []
@@ -88,7 +89,7 @@ def brute_force(graph: SignedDigraph) -> OracleResult:
     comp_dir = {"+++": 0, "+--": 0, "++-": 0, "---": 0}
     comp_by_neg = ("+++", "++-", "+--", "---")
 
-    for a, b, c in combinations(range(n), 3):
+    for a, b, c in combinations(ids, 3):
         local = []
         for x, y in permutations((a, b, c), 2):
             if (x, y) in sign:
@@ -119,7 +120,7 @@ def brute_force(graph: SignedDigraph) -> OracleResult:
             ratios.append(balanced / total)
             if balanced == total:
                 completely += 1
-        triads.append(((ids[a], ids[b], ids[c]), label, tuple(sign_lists)))
+        triads.append(((a, b, c), label, tuple(sign_lists)))
 
     type_balance = {t: (type_counts[t], type_balanced[t], type_total[t])
                     for t in _TRANSITIVE}
@@ -130,12 +131,16 @@ def brute_force(graph: SignedDigraph) -> OracleResult:
     nonpartial = ((completely / len(ratios), completely,
                    len(ratios) - completely) if ratios else None)
 
-    projected = project_undirected(graph)
-    psign = projected.sign
-    pn = projected.n_nodes
+    # the projection: a pair keeps the sign its edges agree on and cancels
+    # when a reciprocal pair disagrees
+    psign = {}
+    for a, b in combinations(ids, 2):
+        signs = {sign[p] for p in ((a, b), (b, a)) if p in sign}
+        if len(signs) == 1:
+            psign[(a, b)] = signs.pop()
     tri = bal = 0
     comp_und = {"+++": 0, "+--": 0, "++-": 0, "---": 0}
-    for i, j, k in combinations(range(pn), 3):
+    for i, j, k in combinations(ids, 3):
         pairs = ((i, j), (i, k), (j, k))
         if all(p in psign for p in pairs):
             tri += 1

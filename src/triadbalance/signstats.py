@@ -6,20 +6,20 @@ deliberately discarded.  Descriptive measures follow the usual convention
 for directed data: density counts ordered pairs on the digraph, while
 transitivity, clustering and path length are computed on the unsigned
 undirected skeleton (any directed edge induces a skeleton edge).  The
-average path length is exact, from a bit-parallel multi-source BFS over the
-skeleton (Then et al., VLDB 2014), in O(m) memory per sweep of 512 sources
-rather than an O(n^2) distance matrix.
+skeleton's triangles come from the census module's triangle listing, and
+the average path length is exact, from a bit-parallel multi-source BFS over
+the skeleton (Then et al., VLDB 2014), in O(m) memory per sweep of 512
+sources rather than an O(n^2) distance matrix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
-from .census import TriadTallies, scan_triads
+from .census import TriadTallies, _triangle_chunks, scan_triads
 from .errors import UndefinedResultError
-from .graphs import SignedDigraph, largest_component
+from .graphs import SignedDigraph, largest_component, skeleton_csr
 
 #: export order for composition columns
 COMPOSITION_KEYS = ("+++", "+--", "++-", "---")
@@ -171,17 +171,12 @@ def metrics(graph: SignedDigraph) -> GraphMetrics:
         src, dst = graph.subgraph(giant).edge_index_arrays()
     density = len(src) / (n * (n - 1))
 
-    # int64, since common-neighbour counts of narrower entries would wrap;
-    # the two entries of a mutual dyad are summed, then reset to 1
-    mat = csr_matrix((np.ones(2 * len(src), dtype=np.int64),
-                      (np.concatenate([src, dst]), np.concatenate([dst, src]))),
-                     shape=(n, n))
-    mat.data[:] = 1
-    degrees = np.diff(mat.indptr).astype(np.int64)
-    # (A @ A)[i, j] counts the common neighbours of i and j; summed over the
-    # neighbours j of i, it counts each triangle at i twice
-    tri_per_node = np.asarray(
-        (mat @ mat).multiply(mat).sum(axis=1)).ravel() // 2
+    indptr, indices = skeleton_csr(n, src, dst)
+    degrees = np.diff(indptr)
+    # each triangle counts once at each of its three nodes
+    tri_per_node = np.zeros(n, dtype=np.int64)
+    for triangle in _triangle_chunks(indptr, indices):
+        tri_per_node += np.bincount(np.concatenate(triangle), minlength=n)
     wedges = int((degrees * (degrees - 1) // 2).sum())
     # the per-node counts see each triangle three times
     transitivity = int(tri_per_node.sum()) / wedges if wedges else 0.0
@@ -193,7 +188,7 @@ def metrics(graph: SignedDigraph) -> GraphMetrics:
 
     # the giant is connected, so every ordered pair off the diagonal is
     # reachable; the exact integer sum is divided once, correctly rounded
-    apl = _distance_sum(mat.indptr, mat.indices) / (n * (n - 1))
+    apl = _distance_sum(indptr, indices) / (n * (n - 1))
     return GraphMetrics(
         node_count=n,
         edge_count=len(src),

@@ -202,12 +202,12 @@ def test_triad_mean_matches_independent_summation(seed):
 def test_symmetric_graph_undirected_equals_300_ratio(seed):
     base = random_signed_digraph(9, 0.45, 0.5, seed)
     fixed = {}
-    for (u, v), s in base.sign.items():
+    for u, v, s in base.edge_items():
         fixed.setdefault((min(u, v), max(u, v)), s)
     edges = []
     for (u, v), s in fixed.items():
-        edges.append((base.ids[u], base.ids[v], s))
-        edges.append((base.ids[v], base.ids[u], s))
+        edges.append((u, v, s))
+        edges.append((v, u, s))
     sym = SignedDigraph(edges, nodes=base.ids)
     entries = {tb.type: tb for tb in type_balance(sym)}
     und = undirected_balance(sym)

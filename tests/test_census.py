@@ -1,6 +1,9 @@
+import importlib
 from itertools import permutations
 from math import comb
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +11,12 @@ from hypothesis import strategies as st
 from triadbalance import (TRANSITIVE_TYPES, TRIAD_TYPES, TRIPLES_PER_TYPE,
                           SignedDigraph, cancelled_pairs, census, classify_man,
                           enumerate_triads, scan_triads, transitive_triples)
+from triadbalance.census import census_from_tallies
 from triadbalance.errors import NonTransitiveTriadError
 from triadbalance.oracle import _PATTERNS, brute_force, random_signed_digraph
+
+# the package's `census` function hides the module of the same name
+census_module = importlib.import_module("triadbalance.census")
 
 
 def test_classify_030T():
@@ -114,6 +121,56 @@ def test_scan_parallel_equals_serial():
     parallel = scan_triads(g, workers=3)
     assert serial.undirected_only
     assert serial == parallel
+
+
+def _mismatched_digraph(n, edge_prob, seed):
+    """Random signed digraph in which about half of the reciprocal pairs
+    are given opposite signs."""
+    signs = {(u, v): s for u, v, s in
+             random_signed_digraph(n, edge_prob, 0.4, seed).edge_items()}
+    rng = np.random.default_rng(seed)
+    for (u, v), s in sorted(signs.items()):
+        if u < v and (v, u) in signs and rng.random() < 0.5:
+            signs[(v, u)] = -s
+    return SignedDigraph([(u, v, s) for (u, v), s in signs.items()],
+                         nodes=[str(i) for i in range(n)])
+
+
+@given(n=st.integers(3, 40), edge_prob=st.sampled_from([0.08, 0.2, 0.35]),
+       seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_scan_across_wedge_chunks_matches_oracle(n, edge_prob, seed):
+    g = _mismatched_digraph(n, edge_prob, seed)
+    # a chunk of 3 wedges splits every graph's pass many times, and many
+    # single edges open more wedges than one chunk holds
+    with mock.patch.object(census_module, "_WEDGE_CHUNK", 3):
+        tallies = scan_triads(g)
+    reference = brute_force(g)
+    assert census_from_tallies(g, tallies).counts == {
+        cls: reference.census.get(cls, 0) for cls in TRIAD_TYPES}
+    for cls, (count, balanced, total) in reference.type_balance.items():
+        assert tallies.type_triads.get(cls, 0) == count
+        assert tallies.type_balanced.get(cls, 0) == balanced
+        assert count * TRIPLES_PER_TYPE[cls] == total
+    classes = {"completely_balanced": 0, "partially_balanced": 0,
+               "completely_imbalanced": 0}
+    for _, cls, triples in reference.triads:
+        if cls in TRANSITIVE_TYPES:
+            balanced = sum(1 for t in triples
+                           if sum(1 for s in t if s < 0) % 2 == 0)
+            classes["completely_balanced" if balanced == len(triples)
+                    else "partially_balanced" if balanced
+                    else "completely_imbalanced"] += 1
+    assert tallies.classification == classes
+    assert tallies.composition == reference.composition_directed
+    assert tallies.undirected == reference.composition_undirected
+    signs = {(u, v): s for u, v, s in g.edge_items()}
+    cancelled = {(u, v) for (u, v), s in signs.items()
+                 if signs.get((v, u), s) != s}
+    assert tallies.undirected_only == sorted(
+        nodes for nodes, cls, _ in reference.triads
+        if cls in ("030C", "120C", "210")
+        and not any(p in cancelled for p in permutations(nodes, 2)))
 
 
 # -- census ----------------------------------------------------------------------

@@ -109,6 +109,29 @@ def test_tsv_weight_other_than_sign_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("fmt,text", [
+    ("csv-rating", "a,b,1,5\nb,c,1,inf\n"),
+    ("signed-matrix", "0 1\nnan 0\n"),
+    ("signed-matrix", "0 1\n-inf 0\n"),
+], ids=["timestamp-inf", "matrix-nan", "matrix-minus-inf"])
+def test_non_finite_input_exits_2_naming_line(tmp_path, capsys, fmt, text):
+    data = _write(tmp_path, "input.txt", text)
+    rc = main(["analyze", "--input", str(data), "--format", fmt,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "line 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_leaves_scipy_out():
+    src = Path(triadbalance.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, triadbalance.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
+
+
 def test_directory_input_exits_2(tmp_path, capsys):
     rc = main(["analyze", "--input", str(tmp_path), "--out",
                str(tmp_path / "out")])

@@ -71,6 +71,22 @@ def test_unknown_format():
         load_edge_records(io.StringIO(""), "graphml")
 
 
+def _signs(graph):
+    """(source id, target id) -> sign, read through the edge list."""
+    return {(u, v): s for u, v, s in graph.edge_items()}
+
+
+def _index_sets(graph):
+    """Successor, predecessor and neighbour index sets of every node, read
+    through the edge list."""
+    out = [set() for _ in range(graph.n_nodes)]
+    inn = [set() for _ in range(graph.n_nodes)]
+    for u, v, _ in graph.edge_items():
+        out[graph.index[u]].add(graph.index[v])
+        inn[graph.index[v]].add(graph.index[u])
+    return out, inn, [o | i for o, i in zip(out, inn)]
+
+
 # -- build_graph ----------------------------------------------------------------
 
 
@@ -178,7 +194,7 @@ def test_build_graph_matches_reference(records):
             rebuilt = SignedDigraph(list(g.edge_items()), nodes=g.ids)
             assert rebuilt.ids == g.ids
             assert list(rebuilt.edge_items()) == list(g.edge_items())
-            assert rebuilt.sign == g.sign
+            assert _signs(rebuilt) == _signs(g)
             with pytest.raises(ValueError):
                 g.src[:1] = 0
 
@@ -253,6 +269,7 @@ def _reference_preprocess(graph: SignedDigraph,
                           config: PreprocessConfig) -> set[int]:
     """Kept node indices, from set-based BFS components and one-at-a-time
     pendant removal."""
+    out, inn, adj = _index_sets(graph)
     keep = set(range(graph.n_nodes))
     if config.keep_component == "giant" and keep:
         components, seen = [], set()
@@ -261,7 +278,7 @@ def _reference_preprocess(graph: SignedDigraph,
                 continue
             comp, queue = {start}, [start]
             while queue:
-                for v in graph.adj[queue.pop()] - comp:
+                for v in adj[queue.pop()] - comp:
                     comp.add(v)
                     queue.append(v)
             seen |= comp
@@ -271,7 +288,7 @@ def _reference_preprocess(graph: SignedDigraph,
                    key=lambda c: min(graph.ids[i] for i in c))
     if config.prune_pendants:
         def degree(i):
-            return len(graph.out[i] & keep) + len(graph.inn[i] & keep)
+            return len(out[i] & keep) + len(inn[i] & keep)
         pendants = [i for i in keep if degree(i) <= 1]
         while pendants:
             keep = keep - {pendants[0]}
@@ -280,9 +297,10 @@ def _reference_preprocess(graph: SignedDigraph,
 
 
 def _weakly_connected(graph: SignedDigraph) -> bool:
+    adj = _index_sets(graph)[2]
     reached, queue = {0}, [0]
     while queue:
-        for v in graph.adj[queue.pop()] - reached:
+        for v in adj[queue.pop()] - reached:
             reached.add(v)
             queue.append(v)
     return len(reached) == graph.n_nodes
@@ -331,10 +349,11 @@ def test_pickle_round_trip_sends_arrays_only():
     data = pickle.dumps(g)
     loaded = pickle.loads(data)
     assert list(loaded.edge_items()) == list(g.edge_items())
-    assert loaded.ids == g.ids and loaded.sign == g.sign and loaded.adj == g.adj
+    assert (loaded.ids == g.ids and _signs(loaded) == _signs(g)
+            and _index_sets(loaded)[2] == _index_sets(g)[2])
     for array in (loaded.src, loaded.dst, loaded.sgn):
         assert not array.flags.writeable
-    # the derived sign dict and neighbour sets are rebuilt, not carried
+    # nothing beyond the ids and the edge arrays is carried
     assert len(data) < len(pickle.dumps((g.ids, g.src, g.dst, g.sgn))) + 200
 
 
@@ -367,8 +386,8 @@ def test_projection_edge_bound(seed):
     g = random_signed_digraph(10, 0.4, 0.5, seed)
     p = project_undirected(g)
     assert all(p.sign_of(v, u) == s for u, v, s in p.edge_items())
-    pairs = {(min(u, v), max(u, v)) for (u, v) in g.sign}
-    assert {(min(u, v), max(u, v)) for (u, v) in p.sign} <= pairs
+    pairs = {(min(u, v), max(u, v)) for (u, v) in _signs(g)}
+    assert {(min(u, v), max(u, v)) for (u, v) in _signs(p)} <= pairs
 
 
 @given(seed=st.integers(0, 10**6))
@@ -382,13 +401,13 @@ def test_symmetric_projection_halves_edges(seed):
         nodes=g.ids)
     # force agreeing reciprocal signs
     fixed = {}
-    for (u, v), s in sym.sign.items():
+    for (u, v), s in _signs(sym).items():
         key = (min(u, v), max(u, v))
         fixed.setdefault(key, s)
     sym = SignedDigraph(
-        [(sym.ids[u], sym.ids[v], fixed[(min(u, v), max(u, v))])
-         for (u, v) in sym.sign], nodes=sym.ids)
+        [(u, v, fixed[(min(u, v), max(u, v))]) for (u, v) in _signs(sym)],
+        nodes=sym.ids)
     p = project_undirected(sym)
     assert list(p.edge_items()) == list(sym.edge_items())
-    assert len({(min(u, v), max(u, v)) for (u, v) in p.sign}) \
+    assert len({(min(u, v), max(u, v)) for (u, v) in _signs(p)}) \
         == sym.n_edges / 2

@@ -170,7 +170,8 @@ def test_avg_path_length_matches_dense_reference(g):
 
 def _skeleton(graph):
     adj = {i: set() for i in range(graph.n_nodes)}
-    for (u, v) in graph.sign:
+    for a, b, _ in graph.edge_items():
+        u, v = graph.index[a], graph.index[b]
         adj[u].add(v)
         adj[v].add(u)
     return adj

@@ -19,7 +19,7 @@ from .census import (TRANSITIVE_TYPES, TRIAD_TYPES, TRIPLES_PER_TYPE,
                      transitive_triples)
 from .errors import (FormatError, NonTransitiveTriadError, ParseError,
                      UndefinedResultError)
-from .graphs import (EdgeRecord, PreprocessConfig, SignedDigraph, build_graph,
+from .graphs import (EdgeColumns, PreprocessConfig, SignedDigraph, build_graph,
                      cancelled_pairs, dump_tsv, load_edge_records, load_tsv,
                      preprocess, project_undirected)
 from .oracle import OracleResult, brute_force, random_signed_digraph

@@ -29,7 +29,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import NonTransitiveTriadError
-from .graphs import SignedDigraph, find_keys, skeleton_csr
+from .graphs import SignedDigraph, find_keys, reverse_edges, skeleton_csr
 
 TRIAD_TYPES = ("003", "012", "102", "021D", "021U", "021C", "111D", "111U",
                "030T", "030C", "201", "120D", "120U", "120C", "210", "300")
@@ -435,11 +435,8 @@ def census_from_tallies(graph: SignedDigraph,
     counts.update(tallies.census)
     n = graph.n_nodes
     src, dst = graph.src, graph.dst
-    # the reversed keys found among the keys are those of the edges in
-    # mutual dyads; sorted first, for a faster search
-    reversed_keys = np.sort(dst * n + src)
-    mutual_keys = reversed_keys[find_keys(graph.pair_keys(), reversed_keys) >= 0]
-    m = np.bincount(mutual_keys // n, minlength=n)
+    # an edge with a reverse edge sits in a mutual dyad
+    m = np.bincount(src[reverse_edges(graph) >= 0], minlength=n)
     o = np.bincount(src, minlength=n) - m
     i = np.bincount(dst, minlength=n) - m
     # int64 sums cannot wrap: each is at most (edges) * (nodes)

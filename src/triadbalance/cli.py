@@ -87,7 +87,7 @@ def _load_preprocessed(config: RunConfig) -> tuple[SignedDigraph, SignedDigraph,
     records = load_edge_records(config.input_path, config.input_format)
     built = build_graph(records, config.preprocess)
     pre = preprocess(built, config.preprocess)
-    return built, pre, len(records)
+    return built, pre, len(records.weights)
 
 
 def compare_report(graph: SignedDigraph, workers: int = 1) -> dict:

@@ -1,5 +1,7 @@
 """Signed digraph data model: ingestion, preprocessing, undirected projection.
 
+Every input format parses into id and weight columns (`EdgeColumns`, in
+input order), which `build_graph` aggregates and thresholds into signs.
 Node ids are opaque strings everywhere at the API surface.  Internally each
 graph maps its ids to dense integer indices (sorted id order) and stores its
 edges once, as read-only source, target and sign arrays sorted by index
@@ -24,13 +26,13 @@ AGGREGATE_RULES = ("sum-then-sign", "last-record", "mean-then-sign")
 KEEP_COMPONENTS = ("giant", "all")
 
 
-class EdgeRecord(NamedTuple):
-    """One raw scored edge as read from a dataset, before sign collapsing."""
+class EdgeColumns(NamedTuple):
+    """Raw scored edges as read from a dataset, before sign collapsing: one
+    entry per record in each column, in input order."""
 
-    source: str
-    target: str
-    weight: float
-    timestamp: int | None = None
+    sources: list[str]
+    targets: list[str]
+    weights: np.ndarray  # float64
 
 
 @dataclass(frozen=True)
@@ -162,15 +164,6 @@ class SignedDigraph:
                            self.sgn.tolist()):
             yield ids[u], ids[v], s
 
-    def total_degree(self, i: int) -> int:
-        """In-degree + out-degree of index i (a mutual dyad counts twice)."""
-        return int(np.count_nonzero(self.src == i)
-                   + np.count_nonzero(self.dst == i))
-
-    def edge_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sources and targets of the edges as read-only int64 index arrays."""
-        return self.src, self.dst
-
     def subgraph(self, keep: Iterable[int]) -> "SignedDigraph":
         """New graph restricted to the given node indices.
 
@@ -189,6 +182,16 @@ class SignedDigraph:
 
     def __repr__(self):
         return f"SignedDigraph(n={self.n_nodes}, m={self.n_edges})"
+
+
+def reverse_edges(graph: SignedDigraph) -> np.ndarray:
+    """Per edge (u, v), the position of the edge (v, u), or -1; the reversed
+    keys are searched in sorted order, the fast case of `find_keys`."""
+    reversed_keys = graph.dst * graph.n_nodes + graph.src
+    order = np.argsort(reversed_keys)
+    rev = np.empty(graph.n_edges, dtype=np.int64)
+    rev[order] = find_keys(graph.pair_keys(), reversed_keys[order])
+    return rev
 
 
 def find_keys(keys: np.ndarray, want) -> np.ndarray:
@@ -215,17 +218,19 @@ def skeleton_csr(n_nodes: int, src: np.ndarray,
 
 
 def _open_text(source) -> IO[str]:
+    # utf-8-sig drops a leading byte-order mark, so it joins no node id
     if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="utf-8", newline="")
+        return open(source, "r", encoding="utf-8-sig", newline="")
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
+        return io.StringIO(source.decode("utf-8-sig"))
     if isinstance(source, io.RawIOBase) or isinstance(source, io.BufferedIOBase):
-        return io.TextIOWrapper(source, encoding="utf-8")
+        return io.TextIOWrapper(source, encoding="utf-8-sig")
     return source  # already a text stream
 
 
-def load_edge_records(source, fmt: str) -> list[EdgeRecord]:
-    """Parse raw edge records from a path, byte stream or text stream.
+def load_edge_records(source, fmt: str) -> EdgeColumns:
+    """Parse raw edge records from a path, byte stream or text stream into
+    id and weight columns, in input order.
 
     Formats:
         csv-rating:    source,target,rating[,timestamp]
@@ -245,9 +250,9 @@ def load_edge_records(source, fmt: str) -> list[EdgeRecord]:
             stream.close()
 
 
-def _parse_lines(stream: IO[str], fmt: str) -> list[EdgeRecord]:
+def _parse_lines(stream: IO[str], fmt: str) -> EdgeColumns:
     sep = "," if fmt == "csv-rating" else "\t"
-    records: list[EdgeRecord] = []
+    sources, targets, weights = [], [], []
     for line_no, raw in enumerate(stream, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -264,29 +269,30 @@ def _parse_lines(stream: IO[str], fmt: str) -> list[EdgeRecord]:
             weight = float(parts[2])
         except ValueError:
             raise ParseError(line_no, f"bad weight {parts[2]!r}") from None
-        if weight != weight or abs(weight) == float("inf"):
+        if not math.isfinite(weight):
             raise ParseError(line_no, f"non-finite weight {parts[2]!r}")
         if fmt == "tsv-sign" and weight not in (1.0, -1.0):
             raise ParseError(line_no, f"sign must be +1 or -1, got {parts[2]!r}")
-        timestamp = None
-        if fmt == "csv-rating" and len(parts) == 4:
+        if len(parts) == 4:
+            # validated but not kept: last-record goes by input order
             try:
-                timestamp = int(float(parts[3]))
+                int(float(parts[3]))
             except (ValueError, OverflowError):  # nan, inf
                 raise ParseError(line_no, f"bad timestamp {parts[3]!r}") from None
-        records.append(EdgeRecord(source, target, weight, timestamp))
-    return records
+        sources.append(source)
+        targets.append(target)
+        weights.append(weight)
+    return EdgeColumns(sources, targets, np.array(weights, dtype=np.float64))
 
 
-def _parse_matrix(stream: IO[str]) -> list[EdgeRecord]:
+def _parse_matrix(stream: IO[str]) -> EdgeColumns:
     rows: list[list[float]] = []
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        cells = line.replace(",", " ").split()
         try:
-            row = [float(c) for c in cells]
+            row = [float(c) for c in line.replace(",", " ").split()]
         except ValueError:
             raise ParseError(line_no, f"non-numeric matrix cell in {line!r}") from None
         if not all(map(math.isfinite, row)):
@@ -297,20 +303,20 @@ def _parse_matrix(stream: IO[str]) -> list[EdgeRecord]:
         if len(row) != n:
             raise FormatError(f"matrix is not square: {n} rows but a row of "
                               f"length {len(row)}")
-    records = []
-    for i, row in enumerate(rows):
-        for j, value in enumerate(row):
-            if value != 0:
-                records.append(EdgeRecord(str(i), str(j), value))
-    return records
+    matrix = np.array(rows, dtype=np.float64).reshape(n, n)
+    # row-major: records come in input order, row by row
+    senders, receivers = np.nonzero(matrix)
+    return EdgeColumns(list(map(str, senders.tolist())),
+                       list(map(str, receivers.tolist())),
+                       matrix[senders, receivers])
 
 
 # -- build + preprocess --------------------------------------------------------
 
 
-def build_graph(records: Iterable[EdgeRecord],
+def build_graph(columns: EdgeColumns,
                 config: PreprocessConfig | None = None) -> SignedDigraph:
-    """Collapse raw records into a signed digraph.
+    """Collapse raw edge columns into a signed digraph.
 
     Parallel records for one ordered pair are aggregated by the configured
     rule; the aggregate is compared against the sign threshold (above -> +1,
@@ -318,21 +324,17 @@ def build_graph(records: Iterable[EdgeRecord],
     Only nodes with a surviving edge are kept.
     """
     config = config or PreprocessConfig()
-    records = list(records)
-    sources = [rec.source for rec in records]
-    targets = [rec.target for rec in records]
+    sources, targets, weights = columns
     # Python's str order: numpy's unicode dtype would merge "a" and "a\x00"
     names = sorted(set(sources).union(targets))
     position = dict(zip(names, range(len(names))))
-    n, m = len(names), len(records)
+    n, m = len(names), len(sources)
     src = np.fromiter(map(position.__getitem__, sources), np.int64, m)
     dst = np.fromiter(map(position.__getitem__, targets), np.int64, m)
-    weight = np.fromiter((rec.weight for rec in records), np.float64, m)
     loop = src == dst
-    pair, weight = (src * n + dst)[~loop], weight[~loop]
+    pair, weight = (src * n + dst)[~loop], np.asarray(weights, np.float64)[~loop]
     if config.aggregate_rule == "last-record":
-        # by input order (timestamps are ignored): the first of each pair
-        # in reversed order
+        # by input order: the first of each pair in reversed order
         pairs, last = np.unique(pair[::-1], return_index=True)
         agg = weight[::-1][last]
     else:
@@ -399,7 +401,7 @@ def preprocess(graph: SignedDigraph,
     """
     config = config or PreprocessConfig()
     n = graph.n_nodes
-    src, dst = graph.edge_index_arrays()
+    src, dst = graph.src, graph.dst
     keep = np.ones(n, dtype=bool)
     if config.keep_component == "giant":
         keep[:] = False
@@ -435,12 +437,9 @@ def preprocess(graph: SignedDigraph,
 
 def _cancelled(graph: SignedDigraph) -> np.ndarray:
     """Per edge (u, v), whether (v, u) is an edge of the opposite sign, so
-    that the projection cancels the pair: pair keys carry the sign in their
-    lowest bit, and each edge looks up its reverse with the other sign."""
-    n = graph.n_nodes
-    signed = graph.pair_keys() * 2 + (graph.sgn > 0)  # sorted
-    opposite = (graph.dst * n + graph.src) * 2 + (graph.sgn < 0)
-    return find_keys(signed, opposite) >= 0
+    that the projection cancels the pair."""
+    rev = reverse_edges(graph)
+    return (rev >= 0) & (graph.sgn[rev] != graph.sgn)
 
 
 def project_undirected(graph: SignedDigraph) -> SignedDigraph:
@@ -477,11 +476,13 @@ def cancelled_pairs(graph: SignedDigraph) -> list[tuple[str, str]]:
 
 def dump_tsv(graph: SignedDigraph, target) -> None:
     """Write the canonical dump: 'source TAB target TAB sign' per edge."""
+    ids, mark = graph.ids, {1: "+1", -1: "-1"}
+    text = "".join([f"{ids[u]}\t{ids[v]}\t{mark[s]}\n" for u, v, s in zip(
+        graph.src.tolist(), graph.dst.tolist(), graph.sgn.tolist())])
     own = isinstance(target, (str, os.PathLike))
     fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
     try:
-        for u, v, s in graph.edge_items():
-            fh.write(f"{u}\t{v}\t{'+1' if s > 0 else '-1'}\n")
+        fh.write(text)
     finally:
         if own:
             fh.close()

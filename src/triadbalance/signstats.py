@@ -161,14 +161,15 @@ def metrics(graph: SignedDigraph) -> GraphMetrics:
     The component count refers to the graph as passed in; everything else is
     evaluated after giant-component selection (without pendant pruning).
     """
-    src, dst = graph.edge_index_arrays()
-    giant, component_count = largest_component(graph.n_nodes, src, dst)
+    giant, component_count = largest_component(graph.n_nodes, graph.src,
+                                               graph.dst)
     n = len(giant)
     if n < 2:
         raise UndefinedResultError(
             "average path length undefined for a singleton component")
     if n < graph.n_nodes:
-        src, dst = graph.subgraph(giant).edge_index_arrays()
+        graph = graph.subgraph(giant)
+    src, dst = graph.src, graph.dst
     density = len(src) / (n * (n - 1))
 
     indptr, indices = skeleton_csr(n, src, dst)

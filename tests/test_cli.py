@@ -224,6 +224,7 @@ def test_manifest_counts_match_dump(tmp_path):
     assert main(["analyze", "--input", str(data), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     reloaded = load_tsv(out / "graph.tsv")
+    assert manifest["input"]["records"] == len(TRIANGLE_TSV.splitlines())
     assert manifest["counts"]["after"]["nodes"] == reloaded.n_nodes
     assert manifest["counts"]["after"]["edges"] == reloaded.n_edges
 
@@ -254,6 +255,22 @@ def test_matrix_format_via_cli(tmp_path):
     assert rc == 0
     doc = json.loads((out / "balance.json").read_text())
     assert doc["overall_type_mean"] == 1.0
+
+
+def test_byte_order_mark_changes_nothing(tmp_path):
+    # the six edges of one all-mutual triangle on a, b, c
+    text = "a,b,1\nb,a,1\nb,c,1\nc,b,1\na,c,1\nc,a,1\n"
+    graphs = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        data = tmp_path / f"{name}.csv"
+        data.write_bytes(prefix + text.encode("utf-8"))
+        out = tmp_path / name
+        rc = main(["analyze", "--input", str(data), "--format", "csv-rating",
+                   "--out", str(out)])
+        assert rc == 0, name
+        graphs.append((out / "graph.tsv").read_bytes())
+    assert graphs[0] == graphs[1]
+    assert graphs[0].startswith(b"a\tb\t+1\n")
 
 
 def test_console_entry_point(tmp_path):

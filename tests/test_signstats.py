@@ -162,7 +162,7 @@ def test_avg_path_length_matches_dense_reference(g):
     from scipy.sparse.csgraph import shortest_path
 
     n = g.n_nodes
-    src, dst = g.edge_index_arrays()
+    src, dst = g.src, g.dst
     mat = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
     dist = shortest_path(mat, directed=False, unweighted=True)
     assert metrics(g).avg_path_length == float(dist.sum() / (n * (n - 1)))

@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _oracle_check(args: argparse.Namespace) -> int:
-    from .oracle import ORACLE_MAX_NODES, brute_force, random_signed_digraph
+    from .oracle import ORACLE_MAX_NODES, random_signed_digraph
 
     try:
         if args.input:

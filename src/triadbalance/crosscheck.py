@@ -10,7 +10,7 @@ from .census import TRIAD_TYPES, census, enumerate_triads
 from .errors import UndefinedResultError
 from .graphs import SignedDigraph
 from .oracle import brute_force
-from .signstats import composition_directed, composition_undirected
+from .signstats import composition_directed, composition_undirected, metrics
 
 Mismatch = tuple[str, object, object]
 
@@ -87,5 +87,10 @@ def compare_with_oracle(graph: SignedDigraph) -> list[Mismatch]:
     if fast_comp_und != reference.composition_undirected:
         mismatches.append(("composition_undirected", fast_comp_und,
                            reference.composition_undirected))
+
+    fast_apl = _ratio_or_none(lambda: metrics(graph).avg_path_length)
+    if not _close(fast_apl, reference.avg_path_length):
+        mismatches.append(("avg_path_length", fast_apl,
+                           reference.avg_path_length))
 
     return mismatches

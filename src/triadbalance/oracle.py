@@ -1,12 +1,14 @@
 """Brute-force reference implementations used to validate the fast paths.
 
-Everything here works by exhaustive O(n^3) scans and an explicit
-canonical-pattern table, deliberately sharing no classification,
-enumeration or projection code with the production modules: the graph is
-read only through its edge list.  Determinism beats speed.
+Everything here works by exhaustive O(n^3) scans, an explicit
+canonical-pattern table and plain breadth-first searches, deliberately
+sharing no classification, enumeration, projection or traversal code with
+the production modules: the graph is read only through its edge list.
+Determinism beats speed.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import fsum
@@ -68,6 +70,41 @@ class OracleResult:
     undirected: tuple  # (triangles, balanced, imbalanced, ratio-or-None)
     composition_directed: dict
     composition_undirected: dict
+    avg_path_length: float | None  # on the largest weak component
+
+
+def _distances(adjacent: dict, start) -> dict:
+    """Hop distance from `start` to every node it reaches."""
+    distance = {start: 0}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in adjacent[u]:
+            if v not in distance:
+                distance[v] = distance[u] + 1
+                queue.append(v)
+    return distance
+
+
+def _avg_path_length(graph: SignedDigraph) -> float | None:
+    """Mean hop distance over the ordered pairs of the largest weakly
+    connected component, size ties going to the smallest minimum id;
+    None below two nodes."""
+    adjacent = {v: set() for v in graph.ids}
+    for u, v, _ in graph.edge_items():
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    components = []
+    seen: set = set()
+    for v in graph.ids:
+        if v not in seen:
+            components.append(list(_distances(adjacent, v)))
+            seen.update(components[-1])
+    giant = min(components, key=lambda c: (-len(c), min(c)), default=[])
+    if len(giant) < 2:
+        return None
+    total = sum(sum(_distances(adjacent, v).values()) for v in giant)
+    return total / (len(giant) * (len(giant) - 1))
 
 
 def brute_force(graph: SignedDigraph) -> OracleResult:
@@ -160,6 +197,7 @@ def brute_force(graph: SignedDigraph) -> OracleResult:
         undirected=undirected,
         composition_directed=comp_dir,
         composition_undirected=comp_und,
+        avg_path_length=_avg_path_length(graph),
     )
 
 

@@ -8,8 +8,13 @@ transitivity, clustering and path length are computed on the unsigned
 undirected skeleton (any directed edge induces a skeleton edge).  The
 skeleton's triangles come from the census module's triangle listing, and
 the average path length is exact, from a bit-parallel multi-source BFS over
-the skeleton (Then et al., VLDB 2014), in O(m) memory per sweep of 512
-sources rather than an O(n^2) distance matrix.
+the skeleton (Then et al., VLDB 2014) with 1024 sources per sweep, in O(n)
+memory rather than an O(n^2) distance matrix.  Each BFS level pulls the
+frontier bits of every node's neighbours through a column plan: nodes are
+relabelled by descending degree, the k-th neighbours of all nodes of degree
+above k form one column (a prefix of the rows), and the neighbours of the
+few highest-degree nodes past the last column of at least 64 rows form a
+small CSR tail.
 """
 from __future__ import annotations
 
@@ -34,7 +39,11 @@ METRIC_BASIS = {
 
 #: uint64 words of BFS sources per node in one path-length sweep, so one
 #: sweep runs 64 * _SWEEP_WORDS breadth-first searches at once
-_SWEEP_WORDS = 8
+_SWEEP_WORDS = 16
+
+#: a neighbour column of the path-length pull covers at least this many
+#: rows; the neighbours of the rows past the last such column form a tail
+_MIN_COLUMN_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -121,20 +130,59 @@ class GraphMetrics:
         ]
 
 
+def _pull_plan(indptr: np.ndarray, indices: np.ndarray
+               ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The neighbours of a CSR graph without empty rows, relabelled by
+    descending degree, as (columns, tail_indices, tail_starts).
+
+    Column k lists the k-th neighbour of every row of degree above k; as the
+    rows are sorted by degree, those rows are a prefix of length len(column).
+    Only columns of at least _MIN_COLUMN_ROWS rows are kept, so the first
+    column, when there is one, covers every row.  The remaining neighbours of
+    the fewer than _MIN_COLUMN_ROWS rows of higher degree form one CSR tail:
+    row r's are `tail_indices[tail_starts[r]:tail_starts[r + 1]]`, the last
+    segment running to the end.
+    """
+    n = len(indptr) - 1
+    degrees = np.diff(indptr)
+    order = np.argsort(-degrees, kind="stable")
+    label = np.empty(n, dtype=np.int64)
+    label[order] = np.arange(n)
+    degree = degrees[order]
+    starts = indptr[:-1][order]
+    n_columns = (int(degree[_MIN_COLUMN_ROWS - 1])
+                 if n >= _MIN_COLUMN_ROWS else 0)
+    # rows[k] counts the rows of degree above k; negated, degrees ascend
+    rows = np.searchsorted(-degree, -np.arange(n_columns + 1))
+    columns = [label[indices[starts[:rows[k]] + k]] for k in range(n_columns)]
+    extra = degree[:rows[-1]] - n_columns
+    tail_starts = np.zeros(len(extra), dtype=np.int64)
+    np.cumsum(extra[:-1], out=tail_starts[1:])
+    tail = np.repeat(starts[:len(extra)] + n_columns - tail_starts, extra)
+    tail += np.arange(len(tail))
+    return columns, label[indices[tail]], tail_starts
+
+
 def _distance_sum(indptr: np.ndarray, indices: np.ndarray) -> int:
     """Sum of the BFS distances over all ordered pairs of a connected
     unweighted graph in CSR form, by bit-parallel multi-source BFS.
 
     Bit b of word w of a node's row stands for source 64 * w + b of the
-    sweep.  One level ORs the frontier rows of each node's neighbours, so
-    every source of the sweep advances one step; the sources newly reached
-    are at that level's distance.
+    sweep, so one sweep runs 1024 searches.  One level ORs the frontier rows
+    of each node's neighbours, so every source of the sweep advances one
+    step; the sources newly reached are at that level's distance.  The OR is
+    pulled through `_pull_plan`: one gather and one in-place OR per column
+    into its row prefix, then one `reduceat` over the tail.  The distance sum
+    does not depend on the labelling, so the sweeps run on the plan's labels.
     """
     n = len(indptr) - 1
-    # every row of a connected graph with n >= 2 has a neighbour, so no
-    # reduceat segment is empty (an empty one would yield its start element)
-    starts = indptr[:-1]
+    # every row of a connected graph with n >= 2 has a neighbour, so the
+    # first column covers all rows, and no tail segment is empty (an empty
+    # reduceat segment would yield its start element)
+    columns, tail, tail_starts = _pull_plan(indptr, indices)
     per_sweep = 64 * _SWEEP_WORDS
+    pulled = np.empty((n, _SWEEP_WORDS), dtype=np.uint64)
+    gathered = np.empty_like(pulled)
     total = 0
     for first in range(0, n, per_sweep):
         sources = np.arange(min(per_sweep, n - first))
@@ -145,7 +193,22 @@ def _distance_sum(indptr: np.ndarray, indices: np.ndarray) -> int:
         level = 0
         while True:
             level += 1
-            frontier = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+            # the plan's labels are all in range, so mode="clip" clips
+            # nothing and spares the buffered copy of the default mode
+            if columns:
+                np.take(frontier, columns[0], axis=0, out=pulled, mode="clip")
+            for column in columns[1:]:
+                part = gathered[:len(column)]
+                np.take(frontier, column, axis=0, out=part, mode="clip")
+                np.bitwise_or(pulled[:len(column)], part,
+                              out=pulled[:len(column)])
+            if len(tail_starts):
+                head = np.bitwise_or.reduceat(frontier[tail], tail_starts,
+                                              axis=0)
+                if columns:
+                    head |= pulled[:len(head)]
+                pulled[:len(head)] = head
+            frontier, pulled = pulled, frontier
             frontier &= unvisited
             reached = int(np.bitwise_count(frontier).sum())
             if not reached:

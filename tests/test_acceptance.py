@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import triadbalance as tb
-from triadbalance.census import census, resolve_workers, scan_triads
+from triadbalance.census import census, resolve_workers
 from triadbalance.cli import compare_report
 from triadbalance.crosscheck import compare_with_oracle
 from triadbalance.errors import UndefinedResultError

@@ -60,3 +60,21 @@ def test_oracle_census_sums():
 def test_fast_path_agrees_with_oracle(edge_prob, seed):
     g = random_signed_digraph(15, edge_prob, 0.4, seed)
     assert compare_with_oracle(g) == []
+
+
+@pytest.mark.parametrize("path, triangle, apl", [
+    ("abc", "xyz", 8 / 6),  # the path a-b-c holds the smallest id
+    ("xyz", "abc", 1.0),    # the triangle a-b-c does
+])
+def test_oracle_path_length_size_tie(path, triangle, apl):
+    p, q, r = path
+    x, y, z = triangle
+    g = SignedDigraph([(p, q, 1), (q, r, 1), (x, y, 1), (y, z, 1), (z, x, 1)])
+    assert brute_force(g).avg_path_length == apl
+    assert compare_with_oracle(g) == []
+
+
+def test_oracle_path_length_undefined_without_edges():
+    g = SignedDigraph(nodes=["a", "b", "c"])
+    assert brute_force(g).avg_path_length is None
+    assert compare_with_oracle(g) == []

@@ -1,5 +1,4 @@
-from collections import deque
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from triadbalance import (TRIPLES_PER_TYPE, SignedDigraph,
                           composition_directed, composition_undirected,
                           metrics, scan_triads)
 from triadbalance.errors import UndefinedResultError
-from triadbalance.oracle import random_signed_digraph
+from triadbalance.oracle import brute_force, random_signed_digraph
 
 
 def test_composition_all_positive():
@@ -131,41 +130,65 @@ def test_metrics_singleton_undefined():
         metrics(g)
 
 
-@pytest.mark.parametrize("n", [2, 63, 64, 65, 512, 513, 1100])
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 512, 513, 1024, 1025, 1100,
+                               2049])
 def test_metrics_path_graph_exact(n):
-    # partial words, several sweeps of 512 sources and over 1000 BFS levels;
+    # partial words, several sweeps of 1024 sources and over 2000 BFS levels;
     # the ordered-pair distances of a path sum to n (n - 1) (n + 1) / 3
     g = SignedDigraph([(f"v{i}", f"v{i + 1}", 1) for i in range(n - 1)])
     assert metrics(g).avg_path_length == (n + 1) / 3
 
 
-@st.composite
-def _connected_digraphs(draw):
-    n = draw(st.integers(2, 600))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # a random tree keeps the graph connected; extra arcs close cycles
+def _connected_digraph(n, extra_arcs, seed, hub_count=0):
+    """A random tree on n nodes plus `extra_arcs` random arcs, the first
+    `hub_count` nodes joined to every other node, directions at random."""
+    rng = np.random.default_rng(seed)
     tail = np.arange(1, n)
     head = (rng.random(n - 1) * tail).astype(np.int64)
-    extra = rng.integers(0, n, size=(2, draw(st.integers(0, 3 * n))))
-    u = np.concatenate([tail, extra[0]])
-    v = np.concatenate([head, extra[1]])
+    extra = rng.integers(0, n, size=(2, extra_arcs))
+    hubs = np.repeat(np.arange(hub_count), n)
+    u = np.concatenate([tail, extra[0], hubs])
+    v = np.concatenate([head, extra[1], np.tile(np.arange(n), hub_count)])
     flip = rng.random(len(u)) < 0.5
     u, v = np.where(flip, v, u), np.where(flip, u, v)
     pairs = {(a, b) for a, b in zip(u.tolist(), v.tolist()) if a != b}
     return SignedDigraph([(f"n{a}", f"n{b}", 1) for a, b in sorted(pairs)])
 
 
-@given(g=_connected_digraphs())
-@settings(max_examples=30, deadline=None)
-def test_avg_path_length_matches_dense_reference(g):
+def _dense_apl(g):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
     n = g.n_nodes
-    src, dst = g.src, g.dst
-    mat = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    mat = csr_matrix((np.ones(g.n_edges), (g.src, g.dst)), shape=(n, n))
     dist = shortest_path(mat, directed=False, unweighted=True)
-    assert metrics(g).avg_path_length == float(dist.sum() / (n * (n - 1)))
+    return float(dist.sum() / (n * (n - 1)))
+
+
+@st.composite
+def _connected_digraphs(draw):
+    n = draw(st.integers(2, 600))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return _connected_digraph(n, draw(st.integers(0, 3 * n)), seed)
+
+
+@given(g=_connected_digraphs())
+@settings(max_examples=30, deadline=None)
+def test_avg_path_length_matches_dense_reference(g):
+    assert metrics(g).avg_path_length == _dense_apl(g)
+
+
+@pytest.mark.parametrize("n, extra, hub_count, seed", [
+    (300, 600, 1, 0),     # a star plus random edges: the centre is the tail
+    (2000, 4000, 5, 1),   # five hubs joined to everything
+    (40, 60, 0, 2),       # under 64 rows, so no column and all in the tail
+    (63, 0, 1, 3),        # 63 rows, a star exactly
+    (1500, 3000, 0, 4),   # two sweeps of 1024 sources
+    (2100, 2000, 2, 5),   # three sweeps, the last one partial
+])
+def test_avg_path_length_column_plan_exact(n, extra, hub_count, seed):
+    g = _connected_digraph(n, extra, seed, hub_count)
+    assert metrics(g).avg_path_length == _dense_apl(g)
 
 
 def _skeleton(graph):
@@ -175,23 +198,6 @@ def _skeleton(graph):
         adj[u].add(v)
         adj[v].add(u)
     return adj
-
-
-def _bfs_apl(adj, n):
-    total = 0
-    pairs = 0
-    for s in range(n):
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        total += sum(d for node, d in dist.items() if node != s)
-        pairs += len(dist) - 1
-    return total / pairs
 
 
 def _brute_transitivity_clustering(adj, n):
@@ -223,7 +229,7 @@ def test_metrics_match_brute_force(seed):
     m = metrics(g)
     adj = _skeleton(giant)
     n = giant.n_nodes
-    assert m.avg_path_length == pytest.approx(_bfs_apl(adj, n), abs=1e-9)
+    assert m.avg_path_length == brute_force(g).avg_path_length
     transitivity, clustering = _brute_transitivity_clustering(adj, n)
     assert m.transitivity == pytest.approx(transitivity, abs=1e-9)
     assert m.clustering_coefficient == pytest.approx(clustering, abs=1e-9)

@@ -65,14 +65,6 @@ def _input_error(message) -> int:
     return EXIT_INPUT
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
@@ -83,11 +75,17 @@ def _write_csv(path: Path, rows: list) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def _load_preprocessed(config: RunConfig) -> tuple[SignedDigraph, SignedDigraph, int]:
-    records = load_edge_records(config.input_path, config.input_format)
+def _load_preprocessed(
+        config: RunConfig) -> tuple[SignedDigraph, SignedDigraph, int, str]:
+    """The built and the preprocessed graph, the number of records read and
+    the input's sha256, from one read of the input file."""
+    data = Path(config.input_path).read_bytes()
+    input_sha256 = hashlib.sha256(data).hexdigest()
+    records = load_edge_records(data, config.input_format)
+    del data
     built = build_graph(records, config.preprocess)
     pre = preprocess(built, config.preprocess)
-    return built, pre, len(records.weights)
+    return built, pre, len(records.weights), input_sha256
 
 
 def compare_report(graph: SignedDigraph, workers: int = 1) -> dict:
@@ -220,8 +218,7 @@ def run(config: RunConfig) -> int:
         return _input_error(f"cannot create output directory {out_dir}: "
                             f"{existing} is not a writable directory")
     try:
-        built, pre, n_records = _load_preprocessed(config)
-        input_sha256 = _sha256(config.input_path)
+        built, pre, n_records, input_sha256 = _load_preprocessed(config)
     except (ParseError, FormatError) as exc:
         return _input_error(exc)
     except (UnicodeDecodeError, OSError) as exc:

@@ -12,8 +12,11 @@ walk is built from the arrays as a CSR when needed (`skeleton_csr`).
 from __future__ import annotations
 
 import io
+import itertools
 import math
+import operator
 import os
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -217,37 +220,87 @@ def skeleton_csr(n_nodes: int, src: np.ndarray,
 # -- ingestion ----------------------------------------------------------------
 
 
-def _open_text(source) -> IO[str]:
-    # utf-8-sig drops a leading byte-order mark, so it joins no node id
+#: the bytes a regular tsv-sign text may hold: TAB, LF and every byte above
+#: space but '#', which leaves out CR and the other ASCII whitespace
+_REGULAR_BYTES = bytes([9, 10, *range(33, 35), *range(36, 256)])
+_SIGN_WEIGHT = {"1": 1.0, "+1": 1.0, "-1": -1.0}
+
+
+def _read_text(source) -> str:
+    """The whole input as one string, from a path, bytes, or a binary or
+    text stream.  Paths and bytes are decoded as utf-8-sig, which drops a
+    leading byte-order mark, so it joins no node id."""
     if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="utf-8-sig", newline="")
+        with open(source, "rb") as fh:
+            source = fh.read()
+    elif not isinstance(source, bytes):
+        source = source.read()
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8-sig"))
-    if isinstance(source, io.RawIOBase) or isinstance(source, io.BufferedIOBase):
-        return io.TextIOWrapper(source, encoding="utf-8-sig")
-    return source  # already a text stream
+        return source.decode("utf-8-sig")
+    return source
 
 
 def load_edge_records(source, fmt: str) -> EdgeColumns:
-    """Parse raw edge records from a path, byte stream or text stream into
-    id and weight columns, in input order.
+    """Parse raw edge records from a path, bytes, or a binary or text stream
+    into id and weight columns, in input order.
 
     Formats:
         csv-rating:    source,target,rating[,timestamp]
         tsv-sign:      source TAB target TAB sign, the sign +1 or -1
         signed-matrix: square whitespace/comma separated integer matrix,
                        rows are senders; zero cells produce no record
+
+    The input is read once into one string.  A regular tsv-sign text is
+    split in one pass over it (`_split_regular`); every other text goes
+    through the per-line parsers, which split lines at LF, CR and CRLF
+    whatever the kind of source.
     """
     if fmt not in INPUT_FORMATS:
         raise FormatError(f"unknown input format {fmt!r}")
-    stream = _open_text(source)
+    text = _read_text(source)
+    if fmt == "tsv-sign":
+        columns = _split_regular(text)
+        if columns is not None:
+            return columns
+    stream = io.StringIO(text, newline="")
+    if fmt == "signed-matrix":
+        return _parse_matrix(stream)
+    return _parse_lines(stream, fmt)
+
+
+def _split_regular(text: str) -> EdgeColumns | None:
+    """The columns of a regular tsv-sign text, or None for any other text.
+
+    Regular means: every line is 'id TAB id TAB sign' ending in LF (the last
+    line may lack it), no id is empty, every sign is literally 1, +1 or -1,
+    and no character is CR, '#' or whitespace other than TAB and LF.  The
+    per-line loop skips, strips and rejects nothing in such a text, so its
+    columns are the fields in order.
+    """
+    data = text.encode("utf-8", "surrogatepass")
+    if not data or data.translate(None, _REGULAR_BYTES):
+        return None
+    # str.strip also removes non-ASCII whitespace
+    if not text.isascii() and re.search(r"[^\S\t\n]", text):
+        return None
+    raw = np.frombuffer(data if data.endswith(b"\n") else data + b"\n",
+                        dtype=np.uint8)
+    # TAB and LF bytes, which never sit inside a multi-byte UTF-8 character:
+    # each line must hold TAB TAB LF with a non-empty field before each
+    cuts = np.flatnonzero(raw < 11)
+    if (len(cuts) % 3
+            or np.any(raw[cuts].reshape(-1, 3) != (9, 9, 10))
+            or np.any(np.diff(cuts, prepend=-1) < 2)):
+        return None
+    stop = len(cuts)  # a final LF leaves one empty field after the last line
+    fields = text.replace("\n", "\t").split("\t")
     try:
-        if fmt == "signed-matrix":
-            return _parse_matrix(stream)
-        return _parse_lines(stream, fmt)
-    finally:
-        if isinstance(source, (str, os.PathLike)):
-            stream.close()
+        weights = np.fromiter(map(_SIGN_WEIGHT.__getitem__,
+                                  itertools.islice(fields, 2, stop, 3)),
+                              np.float64, stop // 3)
+    except KeyError:
+        return None
+    return EdgeColumns(fields[0:stop:3], fields[1:stop:3], weights)
 
 
 def _parse_lines(stream: IO[str], fmt: str) -> EdgeColumns:
@@ -346,11 +399,13 @@ def build_graph(columns: EdgeColumns,
     positive = agg > config.sign_threshold
     signed = positive | (agg < config.sign_threshold)  # at it: neutral
     # only nodes with a surviving edge get an id, renumbered in their order
-    nodes, ends = np.unique(np.divmod(pairs[signed], n), return_inverse=True)
-    src, dst = ends.reshape(2, -1)
-    return SignedDigraph._from_arrays(tuple(names[i] for i in nodes.tolist()),
-                                      src, dst,
-                                      np.where(positive[signed], 1, -1))
+    src, dst = np.divmod(pairs[signed], n)
+    used = np.zeros(n, dtype=bool)
+    used[src] = used[dst] = True
+    renumber = np.cumsum(used) - 1
+    return SignedDigraph._from_arrays(
+        tuple(names[i] for i in np.flatnonzero(used).tolist()),
+        renumber[src], renumber[dst], np.where(positive[signed], 1, -1))
 
 
 def largest_component(n_nodes: int, src: np.ndarray,
@@ -476,9 +531,14 @@ def cancelled_pairs(graph: SignedDigraph) -> list[tuple[str, str]]:
 
 def dump_tsv(graph: SignedDigraph, target) -> None:
     """Write the canonical dump: 'source TAB target TAB sign' per edge."""
-    ids, mark = graph.ids, {1: "+1", -1: "-1"}
-    text = "".join([f"{ids[u]}\t{ids[v]}\t{mark[s]}\n" for u, v, s in zip(
-        graph.src.tolist(), graph.dst.tolist(), graph.sgn.tolist())])
+    # one concatenation per edge: 'u TAB' heads, and 'v TAB +1' tails
+    # followed by 'v TAB -1' tails
+    ids, n = graph.ids, graph.n_nodes
+    heads = np.array([u + "\t" for u in ids], dtype=object)
+    tails = np.array([v + "\t+1\n" for v in ids] + [v + "\t-1\n" for v in ids],
+                     dtype=object)
+    text = "".join(map(operator.add, heads[graph.src],
+                       tails[graph.dst + n * (graph.sgn < 0)]))
     own = isinstance(target, (str, os.PathLike))
     fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
     try:

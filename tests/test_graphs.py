@@ -11,7 +11,8 @@ from triadbalance import (EdgeColumns, PreprocessConfig, SignedDigraph,
                           load_edge_records, load_tsv, metrics, preprocess,
                           project_undirected)
 from triadbalance.errors import FormatError, ParseError
-from triadbalance.graphs import AGGREGATE_RULES
+from triadbalance.graphs import (AGGREGATE_RULES, _parse_lines,
+                                 _split_regular)
 from triadbalance.oracle import random_signed_digraph
 
 
@@ -58,12 +59,33 @@ def test_byte_stream_input():
     assert _lists(cols) == (["a"], ["b"], [1.0])
 
 
-@pytest.mark.parametrize("wrap", [bytes, io.BytesIO])
+@pytest.fixture(params=[bytes, io.BytesIO, "path"],
+                ids=["bytes", "BytesIO", "path"])
+def wrap(request, tmp_path):
+    """Turns input bytes into one kind of source: bytes, a binary stream or
+    a path."""
+    if request.param != "path":
+        return request.param
+
+    def in_file(data):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        return path
+    return in_file
+
+
 def test_byte_order_mark_is_not_part_of_an_id(wrap):
     data = "a,b,1\nb,a,-1\n".encode("utf-8")
     cols = load_edge_records(wrap(b"\xef\xbb\xbf" + data), "csv-rating")
     assert _lists(cols) == _lists(load_edge_records(wrap(data), "csv-rating"))
     assert cols.sources == ["a", "b"]
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n"])
+def test_every_source_kind_splits_lines_alike(wrap, newline):
+    data = newline.join(["a\tb\t1", "b\tc\t1", "c\ta\t-1", ""]).encode()
+    cols = load_edge_records(wrap(data), "tsv-sign")
+    assert _lists(cols) == (["a", "b", "c"], ["b", "c", "a"], [1.0, 1.0, -1.0])
 
 
 def test_parse_error_carries_line_number():
@@ -81,6 +103,70 @@ def test_tsv_sign_rejects_weights_other_than_sign(weight):
     text = f"a\tb\t+1\nb\tc\t{weight}\n"
     with pytest.raises(ParseError, match="line 2"):
         load_edge_records(io.StringIO(text), "tsv-sign")
+
+
+# ids and signs share spellings, so a line with a field too many or too few
+# shifts later fields into places where they still read as ids and signs
+_IDS = ["1", "-1", "+1", "2", "10", "a", "\u00e9", "n\u2603", "\ufeffb"]
+_SIGNS = ["1", "+1", "-1"]
+_SHIFTING_LINES = ["a\tb", "1\t-1", "1", "a\tb\t1\t1", "a\tb\t-1\t+1",
+                   "1\t1\t1\t1\t1"]
+_IRREGULAR_LINES = _SHIFTING_LINES + [
+    "# comment", "  #\tx\t1", "", "   ", "\t", "\t\t", " a\tb\t1",
+    "a \tb\t1", "a\t\xa0b\t-1", "a\u3000\tb\t1", "a#b\tc\t1",
+    "a\tb\t1.0", "a\tb\t+1.0", "a\tb\tnan", "a\tb\t5", "a\tb\t0", "a\tb\t",
+    "\tb\t1", "a\t\t1", "a\tb\t 1", "a\tb\t1 ", "a\x0bb\tc\t1",
+    "a\x00\tb\t1",
+]
+
+
+def _random_tsv(rng, odd_lines, odd_ends):
+    """A tsv-sign text of 0-12 lines: regular lines mixed with lines drawn
+    from `odd_lines`, each ending in LF or, if `odd_ends`, sometimes in CR or
+    CRLF; the final LF may be missing."""
+    lines, ends = [], []
+    for _ in range(int(rng.integers(0, 13))):
+        if not odd_lines or rng.random() < 0.7:
+            lines.append("\t".join([*rng.choice(_IDS, 2), rng.choice(_SIGNS)]))
+        else:
+            lines.append(str(rng.choice(odd_lines)))
+        ends.append(str(rng.choice(["\r", "\r\n"]))
+                    if odd_ends and rng.random() < 0.2 else "\n")
+    if lines and rng.random() < 0.3:
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(parse):
+    """The columns one parse returns, or the error message it raises."""
+    try:
+        return _lists(parse())
+    except ParseError as exc:
+        return f"ParseError {exc}"
+
+
+def test_regular_split_equals_the_line_loop():
+    rng = np.random.default_rng(20240)
+    kinds = [([], False), (_SHIFTING_LINES, False), (_IRREGULAR_LINES, True)]
+    for trial in range(600):
+        odd_lines, odd_ends = kinds[trial % 3]
+        text = _random_tsv(rng, odd_lines, odd_ends)
+        data = (b"\xef\xbb\xbf" if rng.random() < 0.2 else b"") + text.encode()
+        # utf-8-sig drops one leading U+FEFF, whether added here or drawn
+        text = data.decode("utf-8-sig")
+        loop = _outcome(lambda: _parse_lines(io.StringIO(text, newline=""),
+                                             "tsv-sign"))
+        assert _outcome(lambda: load_edge_records(data, "tsv-sign")) == loop, text
+        if not odd_lines and text:
+            assert _split_regular(text) is not None, text
+
+
+def test_regular_split_hands_over_on_any_whitespace():
+    spaces = [c for c in map(chr, range(0x3001)) if c.isspace()]
+    for c in spaces:
+        if c not in "\t\n":
+            assert _split_regular(f"a{c}\tb\t1\n") is None, hex(ord(c))
+            assert _split_regular(f"a\tb\t1{c}\n") is None, hex(ord(c))
 
 
 def test_matrix_not_square():

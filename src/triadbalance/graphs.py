@@ -2,6 +2,10 @@
 
 Every input format parses into id and weight columns (`EdgeColumns`, in
 input order), which `build_graph` aggregates and thresholds into signs.
+The input is read once, as one string, whatever the kind of source; a
+regular tsv-sign text is split into its columns in one pass, and every
+other text goes through a per-line loop that splits lines at LF, CR and
+CRLF alike for paths, bytes and streams.
 Node ids are opaque strings everywhere at the API surface.  Internally each
 graph maps its ids to dense integer indices (sorted id order) and stores its
 edges once, as read-only source, target and sign arrays sorted by index
@@ -234,7 +238,7 @@ def _read_text(source) -> str:
         with open(source, "rb") as fh:
             source = fh.read()
     elif not isinstance(source, bytes):
-        source = source.read()
+        source = source.read()  # a binary or a text stream
     if isinstance(source, bytes):
         return source.decode("utf-8-sig")
     return source

@@ -1,17 +1,18 @@
 """Triad census for signed digraphs.
 
-One pass lists the triangles (triads whose three dyads are all connected)
-and feeds every census, balance, composition and comparison figure.  It is
+One pass over the dyad table (`graphs.dyad_table`) lists the triangles
+(triads whose three dyads are all connected) and feeds every figure.  It is
 the degree-ordered forward algorithm (Chiba & Nishizeki 1985; Latapy 2008)
-in numpy, in one process: each skeleton edge points toward the node of
-higher (degree, index) rank, the wedges of each node's out-neighbours are
-listed in fixed-size chunks, and one binary search over the oriented edge
-keys closes them.  Each triangle then gets a 12-bit index, its 6-bit dyad
-code plus the signs of the edges present, and one table folds the counts of
-those indices into the tallies.  The six open classes have exactly one
-centre node, so they follow from per-node degree counts minus the centre
-wedges inside the triangles (Moody 1998; Batagelj & Mrvar 2001), and the
-three disconnected classes (003, 012, 102) from complement counting.
+in numpy, in one process: each dyad points toward the node of higher
+(degree, index) rank, with its code in that orientation, the wedges of each
+node's out-neighbours are listed in fixed-size chunks, and one binary
+search over the oriented keys closes them.  A triangle's 12-bit index, its
+6-bit dyad code plus the signs of the edges present, comes from the codes
+of its three dyads, and one table folds the index counts into the tallies.
+The six open classes have exactly one centre node, so they follow from
+per-node dyad counts minus the centre wedges inside the triangles (Moody
+1998; Batagelj & Mrvar 2001), and the three disconnected classes (003, 012,
+102) from complement counting.
 
 Classification uses the 16 Mutual/Asymmetric/Null isomorphism classes.  The
 four transitive classes (030T, 120D, 120U, 300) carry 1, 2, 2 and 6 ordered
@@ -29,22 +30,13 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import NonTransitiveTriadError
-from .graphs import SignedDigraph, find_keys, reverse_edges, skeleton_csr
+from .graphs import (SignedDigraph, cancelled_pairs, dyad_table, find_keys,
+                     skeleton_csr)
 
 TRIAD_TYPES = ("003", "012", "102", "021D", "021U", "021C", "111D", "111U",
                "030T", "030C", "201", "120D", "120U", "120C", "210", "300")
 TRANSITIVE_TYPES = ("030T", "120D", "120U", "300")
 TRIPLES_PER_TYPE = {"030T": 1, "120D": 2, "120U": 2, "300": 6}
-
-#: mutual / asymmetric dyad count per class, used for complement counting
-_DYADS = {
-    "003": (0, 0), "012": (0, 1), "102": (1, 0),
-    "021D": (0, 2), "021U": (0, 2), "021C": (0, 2),
-    "111D": (1, 1), "111U": (1, 1),
-    "030T": (0, 3), "030C": (0, 3),
-    "201": (2, 0), "120D": (1, 2), "120U": (1, 2), "120C": (1, 2),
-    "210": (2, 1), "300": (3, 0),
-}
 
 _COMPOSITIONS = ("+++", "++-", "+--", "---")  # indexed by number of -1 signs
 CLASSIFICATIONS = ("completely_balanced", "partially_balanced",
@@ -75,42 +67,23 @@ _BIT = {(0, 1): 0, (1, 0): 1, (0, 2): 2, (2, 0): 3, (1, 2): 4, (2, 1): 5}
 
 def _man_class(code: int) -> str:
     """Rule-based classification of a 6-bit dyad code into a MAN label."""
-    bits = [(code >> b) & 1 for b in range(6)]
-    edges = [pair for pair, b in _BIT.items() if bits[b]]
-    state = {}
-    for x, y in ((0, 1), (0, 2), (1, 2)):
-        state[(x, y)] = (bits[_BIT[(x, y)]], bits[_BIT[(y, x)]])
-    m = sum(1 for f, r in state.values() if f and r)
-    a = sum(1 for f, r in state.values() if f != r)
-    simple = {(0, 0): "003", (0, 1): "012", (1, 0): "102",
-              (2, 0): "201", (2, 1): "210", (3, 0): "300"}
-    if (m, a) in simple:
-        return simple[(m, a)]
-    mutual_pair = next((p for p, (f, r) in state.items() if f and r), None)
-    asym_edges = [(s, t) for s, t in edges
-                  if mutual_pair is None or {s, t} != set(mutual_pair)]
-    if (m, a) == (0, 2):
-        # the two asymmetric dyads share one node z; D = both leave z,
-        # U = both enter z, C = chain through z
-        shared = [0, 0, 0]
-        for s, t in asym_edges:
-            shared[s] += 1
-            shared[t] += 1
-        z = shared.index(2)
-        z_out = sum(1 for s, _ in asym_edges if s == z)
-        return {2: "021D", 0: "021U", 1: "021C"}[z_out]
-    if (m, a) == (1, 1):
+    edges = {pair for pair, b in _BIT.items() if code >> b & 1}
+    asym = {(s, t) for s, t in edges if (t, s) not in edges}
+    m = (len(edges) - len(asym)) // 2
+    label = f"{m}{len(asym)}{3 - m - len(asym)}"
+    sends = [sum(s == x for s, _ in asym) for x in range(3)]
+    takes = [sum(t == x for _, t in asym) for x in range(3)]
+    if label in ("021", "120"):
+        # the two asymmetric dyads share one node: D = both leave it,
+        # U = both enter it, C = a chain through it
+        return label + ("D" if 2 in sends else "U" if 2 in takes else "C")
+    if label == "030":
+        return label + ("T" if 2 in sends else "C")
+    if label == "111":
         # D = the asymmetric edge points into the mutual dyad
-        return "111D" if asym_edges[0][1] in mutual_pair else "111U"
-    if (m, a) == (0, 3):
-        outdeg = [0, 0, 0]
-        for s, _ in edges:
-            outdeg[s] += 1
-        return "030T" if 2 in outdeg else "030C"
-    # (m, a) == (1, 2): mutual dyad plus two asymmetric dyads at the third node
-    z = ({0, 1, 2} - set(mutual_pair)).pop()
-    z_out = sum(1 for s, _ in asym_edges if s == z)
-    return {2: "120D", 0: "120U", 1: "120C"}[z_out]
+        (source, _), = asym
+        return label + ("U" if source in {s for s, _ in edges - asym} else "D")
+    return label
 
 
 def _transitive_perms(code: int) -> tuple[tuple[int, int, int], ...]:
@@ -137,27 +110,28 @@ _CENTRE_WEDGES = {
     for code in range(64) if all(code & mask for mask in _OPPOSITE_DYAD)}
 
 
-def _triad_indexer(graph: SignedDigraph):
-    """Function giving the 12-bit index of each triad (x, y, z), for index
-    arrays x, y, z: the 6-bit dyad code, plus bit 6 + b set when the edge
-    of code bit b is present and negative."""
-    n = graph.n_nodes
-    keys = graph.pair_keys()
-    negative = np.append(graph.sgn < 0, False)  # position -1: no edge
+#: dyad code with its two nodes exchanged (see `graphs.dyad_table`)
+_SWAP = np.array([(code & 0b0101) << 1 | (code & 0b1010) >> 1
+                  for code in range(16)], dtype=np.int64)
 
-    def triad_index(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        index = np.zeros(len(x), dtype=np.int64)
-        for bit, (a, b) in enumerate(((x, y), (y, x), (x, z), (z, x), (y, z),
-                                      (z, y))):
-            at = find_keys(keys, a * n + b)
-            index |= (at >= 0).astype(np.int64) << bit
-            index |= negative[at].astype(np.int64) << (bit + 6)
-        return index
-    return triad_index
+
+def _fold_index(xy, xz, yz):
+    """The 12-bit index of triads (x, y, z), from the dyad codes of (x, y),
+    (x, z) and (y, z) seen from the first node: the 6-bit dyad code, plus
+    bit 6 + b set when the edge of code bit b is present and negative."""
+    return ((xy & 3) | (xz & 3) << 2 | (yz & 3) << 4
+            | (xy >> 2) << 6 | (xz >> 2) << 8 | (yz >> 2) << 10)
 
 
 def _one_index(graph: SignedDigraph, nodes: tuple[int, int, int]) -> int:
-    return int(_triad_indexer(graph)(*(np.array([i]) for i in nodes))[0])
+    """The 12-bit index of one triad of node indices, from six single-edge
+    lookups rather than a dyad table, which sorts every edge."""
+    index = 0
+    for (s, t), bit in _BIT.items():
+        at = graph.position(nodes[s], nodes[t])
+        if at >= 0:
+            index |= 1 << bit | int(graph.sgn[at] < 0) << (bit + 6)
+    return index
 
 
 def _triples(ids: tuple[str, ...], nodes: tuple[int, int, int],
@@ -204,9 +178,15 @@ def enumerate_triads(graph: SignedDigraph) -> Iterator[Triad]:
                 if w > u and w not in au:
                     cands.add((v, w) if v < w else (w, v))
         found.extend((u, v, w) for v, w in sorted(cands))
-    nodes = np.array(found, dtype=np.int64).reshape(-1, 3)
+    n = graph.n_nodes
+    pairs, codes = dyad_table(graph)
+    codes = np.append(codes, 0)  # position -1: no dyad
+    x, y, z = np.array(found, dtype=np.int64).reshape(-1, 3).T
+    # x < y < z, so each pair's code is seen from its first node
+    index = _fold_index(*(codes[find_keys(pairs, a * n + b)]
+                          for a, b in ((x, y), (x, z), (y, z))))
     ids = graph.ids
-    for triad, index in zip(found, _triad_indexer(graph)(*nodes.T).tolist()):
+    for triad, index in zip(found, index.tolist()):
         cls = _CODE_CLASS[index & 63]
         yield Triad(tuple(ids[i] for i in triad), cls,
                     _triples(ids, triad, index))
@@ -228,46 +208,6 @@ def transitive_triples(graph: SignedDigraph, triad: Triad) -> list[Triple]:
 #: (the wedges of one edge, at most the square root of twice the edge
 #: count under the degree order, may overshoot it)
 _WEDGE_CHUNK = 1 << 18
-
-
-def _triangle_chunks(indptr: np.ndarray,
-                     indices: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-    """The triangles of an undirected simple graph in CSR form, as arrays
-    (x, y, z) of node indices, one chunk of wedges at a time.
-
-    Each edge points from the lower to the higher (degree, index) rank; a
-    triangle is found once, at its lowest-ranked node x, as the wedge of
-    two out-edges x -> y, x -> z closed by the edge y -> z.
-    """
-    n = len(indptr) - 1
-    degree = np.diff(indptr)
-    node = np.argsort(degree, kind="stable")  # rank -> node
-    rank = np.empty(n, dtype=np.int64)
-    rank[node] = np.arange(n)
-    tail = rank[np.repeat(np.arange(n), degree)]
-    head = rank[indices]
-    up = tail < head
-    keys = np.sort(tail[up] * n + head[up])  # oriented edges, in rank space
-    tail, head = np.divmod(keys, n)
-    row_end = np.cumsum(np.bincount(tail, minlength=n))
-    # edge e opens one wedge with each later edge of its row
-    later = row_end[tail] - 1 - np.arange(len(tail))
-    opened = np.cumsum(later)
-    first = 0
-    while first < len(tail):
-        done = opened[first - 1] if first else 0
-        stop = max(int(np.searchsorted(opened, done + _WEDGE_CHUNK, "right")),
-                   first + 1)
-        count = later[first:stop]
-        edge = np.repeat(np.arange(first, stop), count)
-        # the k-th wedge of edge e pairs it with edge e + 1 + k
-        partner = (edge + 1 + np.arange(len(edge))
-                   - np.repeat(np.cumsum(count) - count, count))
-        want = head[edge] * n + head[partner]
-        closed = find_keys(keys, want) >= 0
-        edge = edge[closed]
-        yield node[tail[edge]], node[head[edge]], node[head[partner[closed]]]
-        first = stop
 
 
 def _fold_entry(code: int, negative: int) -> tuple:
@@ -302,15 +242,18 @@ _UNDIRECTED_ONLY[[index for index, (cls, _, _, projected) in _FOLD.items()
                   if projected is not None and cls not in _TRANSITIVE_SET]] = True
 
 
+
 @dataclass
 class TriadTallies:
-    """All-integer aggregate of one pass over the triangles.
+    """All-integer aggregate of one pass over the dyads and triangles.
 
-    `census` counts triangles per closed class only (see
-    `census_from_tallies`).  `undirected` counts the triangles of the
-    undirected projection, which have no reciprocal pair of opposite signs,
-    by sign multiset; `undirected_only` lists those without a transitive
-    triple as sorted node-id triples.
+    `census` counts triangles per closed class, `open_wedges` the centre
+    wedges per open class, triangles included, and `mutual` the mutual
+    dyads (see `census_from_tallies`).
+    `undirected` counts the projection's triangles, which have no reciprocal
+    pair of opposite signs (`cancelled`), by sign multiset; `undirected_only`
+    lists those without a transitive triple as sorted node-id triples.
+    `node_triangles` holds the triangle count of each node index.
     """
 
     census: dict = field(default_factory=dict)
@@ -320,6 +263,10 @@ class TriadTallies:
     composition: dict = field(default_factory=lambda: {c: 0 for c in _COMPOSITIONS})
     undirected: dict = field(default_factory=lambda: {c: 0 for c in _COMPOSITIONS})
     undirected_only: list = field(default_factory=list)
+    open_wedges: dict = field(default_factory=dict)
+    mutual: int = 0
+    cancelled: list = field(default_factory=list)
+    node_triangles: tuple = ()
 
 
 def resolve_workers(requested: int | None = None) -> int:
@@ -342,22 +289,55 @@ def resolve_workers(requested: int | None = None) -> int:
 
 
 def scan_triads(graph: SignedDigraph, workers: int = 1) -> TriadTallies:
-    """One pass over the triangles, in this process.
+    """One pass over the dyads and the triangles, in this process.
 
     `workers` is accepted for callers that pass a worker budget and does
-    not change the pass.  The tallies are all integer and
-    `undirected_only` is sorted, so results do not depend on the chunking.
+    not change the pass.  The tallies are all integer and the lists are
+    sorted, so results do not depend on the chunking.
     """
+    n = graph.n_nodes
+    pairs, codes = dyad_table(graph)
+    lo, hi = np.divmod(pairs, n)
+    # a triangle is found once, at its lowest-ranked node x, as the wedge of
+    # two out-edges x -> y, x -> z closed by the edge y -> z
+    degree = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
+    node = np.argsort(degree, kind="stable")  # rank -> node
+    rank = np.empty(n, dtype=np.int64)
+    rank[node] = np.arange(n)
+    a, b = rank[lo], rank[hi]
+    keys = np.sort((np.minimum(a, b) * n + np.maximum(a, b)) << 4
+                   | np.where(a < b, codes, _SWAP[codes]))
+    code = keys & 15
+    keys >>= 4  # oriented edges, in rank space
+    tail, head = np.divmod(keys, n)
+    row_end = np.cumsum(np.bincount(tail, minlength=n))
+    # edge e opens one wedge with each later edge of its row
+    later = row_end[tail] - 1 - np.arange(len(tail))
+    opened = np.cumsum(later)
     counts = np.zeros(1 << 12, dtype=np.int64)
+    node_triangles = np.zeros(n, dtype=np.int64)
     undirected_only = [np.zeros((0, 3), dtype=np.int64)]
-    triad_index = _triad_indexer(graph)
-    for x, y, z in _triangle_chunks(*skeleton_csr(graph.n_nodes, graph.src,
-                                                  graph.dst)):
-        index = triad_index(x, y, z)
+    first = 0
+    while first < len(tail):
+        done = opened[first - 1] if first else 0
+        stop = max(int(np.searchsorted(opened, done + _WEDGE_CHUNK, "right")),
+                   first + 1)
+        count = later[first:stop]
+        edge = np.repeat(np.arange(first, stop), count)
+        # the k-th wedge of edge e pairs it with edge e + 1 + k
+        partner = (edge + 1 + np.arange(len(edge))
+                   - np.repeat(np.cumsum(count) - count, count))
+        closing = find_keys(keys, head[edge] * n + head[partner])
+        closed = closing >= 0
+        edge, partner, closing = edge[closed], partner[closed], closing[closed]
+        index = _fold_index(code[edge], code[partner], code[closing])
+        x, y, z = node[tail[edge]], node[head[edge]], node[head[partner]]
         counts += np.bincount(index, minlength=1 << 12)
+        node_triangles += np.bincount(np.concatenate([x, y, z]), minlength=n)
         only = _UNDIRECTED_ONLY[index]
         undirected_only.append(np.sort(np.stack([x[only], y[only], z[only]],
                                                 axis=1), axis=1))
+        first = stop
     census: dict[str, int] = {}
     type_triads: dict[str, int] = {}
     type_balanced: dict[str, int] = {}
@@ -379,6 +359,14 @@ def scan_triads(graph: SignedDigraph, workers: int = 1) -> TriadTallies:
     triads = np.concatenate(undirected_only)
     # index order is id order, so this is the order of the id triples
     triads = triads[np.lexsort(triads.T[::-1])].tolist()
+    # per node, its out-only (column 1), in-only (2) and mutual (3) dyads
+    _, o, i, m = np.bincount(np.concatenate([lo * 4 + (codes & 3),
+                                             hi * 4 + (_SWAP[codes] & 3)]),
+                             minlength=4 * n).reshape(n, 4).T
+    # int64 sums cannot wrap: each is at most (edges) * (nodes)
+    open_wedges = {
+        "021D": o * (o - 1) // 2, "021U": i * (i - 1) // 2, "021C": o * i,
+        "111U": m * o, "111D": m * i, "201": m * (m - 1) // 2}
     ids = graph.ids
     return TriadTallies(
         census=census,
@@ -388,6 +376,10 @@ def scan_triads(graph: SignedDigraph, workers: int = 1) -> TriadTallies:
         composition=dict(zip(_COMPOSITIONS, comp)),
         undirected=dict(zip(_COMPOSITIONS, und)),
         undirected_only=[(ids[u], ids[v], ids[w]) for u, v, w in triads],
+        open_wedges={cls: int(w.sum()) for cls, w in open_wedges.items()},
+        mutual=int(m.sum()) // 2,
+        cancelled=cancelled_pairs(graph, (pairs, codes)),
+        node_triangles=tuple(node_triangles.tolist()),
     )
 
 
@@ -424,37 +416,24 @@ def census_from_tallies(graph: SignedDigraph,
                         tallies: TriadTallies) -> CensusTable:
     """Full 16-class census from one triangle pass.
 
-    Closed classes are the pass's triangle counts.  An open class counts,
-    around every node, the pairs of out-only (o), in-only (i) or mutual (m)
-    neighbours of its kind, minus the centre wedges inside the triangles.
+    Closed classes are the pass's triangle counts.  An open class is the
+    pass's count, around every node, of the pairs of out-only, in-only or
+    mutual neighbours of its kind, minus the centre wedges inside the
+    triangles.
     012 and 102 follow from the fact that every dyad sits in n-2 triads,
     minus its appearances in connected triads (each class has a fixed dyad
     make-up); 003 is the complement up to C(n, 3).
     """
-    counts = {cls: 0 for cls in TRIAD_TYPES}
-    counts.update(tallies.census)
-    n = graph.n_nodes
-    src, dst = graph.src, graph.dst
-    # an edge with a reverse edge sits in a mutual dyad
-    m = np.bincount(src[reverse_edges(graph) >= 0], minlength=n)
-    o = np.bincount(src, minlength=n) - m
-    i = np.bincount(dst, minlength=n) - m
-    # int64 sums cannot wrap: each is at most (edges) * (nodes)
-    counts["021D"] += int((o * (o - 1) // 2).sum())
-    counts["021U"] += int((i * (i - 1) // 2).sum())
-    counts["021C"] += int((o * i).sum())
-    counts["111U"] += int((m * o).sum())
-    counts["111D"] += int((m * i).sum())
-    counts["201"] += int((m * (m - 1) // 2).sum())
+    counts = dict.fromkeys(TRIAD_TYPES, 0) | tallies.census | tallies.open_wedges
     for closed, wedges in _CENTRE_WEDGES.items():
         for wedge in wedges:
             counts[wedge] -= counts[closed]
-    mutual = int(m.sum()) // 2
-    asym = graph.n_edges - 2 * mutual
-    used_m = sum(counts[cls] * _DYADS[cls][0] for cls in TRIAD_TYPES)
-    used_a = sum(counts[cls] * _DYADS[cls][1] for cls in TRIAD_TYPES)
-    counts["102"] = mutual * (n - 2) - used_m
-    counts["012"] = asym * (n - 2) - used_a
+    n = graph.n_nodes
+    # a MAN label starts with its numbers of mutual and asymmetric dyads
+    used_m = sum(counts[cls] * int(cls[0]) for cls in TRIAD_TYPES)
+    used_a = sum(counts[cls] * int(cls[1]) for cls in TRIAD_TYPES)
+    counts["102"] = tallies.mutual * (n - 2) - used_m
+    counts["012"] = (graph.n_edges - 2 * tallies.mutual) * (n - 2) - used_a
     counts["003"] = comb(n, 3) - sum(counts.values())
     return CensusTable(counts, n_nodes=n)
 

@@ -24,8 +24,7 @@ from .census import (TriadTallies, census_from_tallies, resolve_workers,
                      scan_triads)
 from .errors import FormatError, ParseError, UndefinedResultError
 from .graphs import (INPUT_FORMATS, PreprocessConfig, SignedDigraph,
-                     build_graph, cancelled_pairs, dump_tsv,
-                     load_edge_records, preprocess)
+                     build_graph, dump_tsv, load_edge_records, preprocess)
 
 ANALYSES = ("census", "balance", "composition", "metrics", "undirected-compare")
 
@@ -101,7 +100,7 @@ def compare_from_tallies(graph: SignedDigraph, tallies: TriadTallies) -> dict:
     # projected triangles are the digraph's triangles without a cancelled
     # pair; those of a non-transitive class are inflation by the projection
     undirected_only = [list(tri) for tri in tallies.undirected_only]
-    cancelled = [list(p) for p in cancelled_pairs(graph)]
+    cancelled = [list(p) for p in tallies.cancelled]
     return {
         "directed_partial": {
             "ratio": report.overall_type_mean,
@@ -149,8 +148,7 @@ def _reports(config: RunConfig, graph: SignedDigraph,
     figure is undefined, such as balance without transitive triads."""
     analyses = set(config.analyses)
     docs: dict[str, tuple[dict, list]] = {}
-    tallies = (scan_triads(graph, workers=workers)
-               if analyses - {"metrics"} else None)
+    tallies = scan_triads(graph, workers=workers)
 
     if "census" in analyses:
         table = census_from_tallies(graph, tallies)
@@ -182,7 +180,7 @@ def _reports(config: RunConfig, graph: SignedDigraph,
              table.to_csv_row(name), und_table.to_csv_row(name)])
 
     if "metrics" in analyses:
-        measured = signstats.metrics(graph)
+        measured = signstats.metrics(graph, tallies)
         docs["metrics"] = (measured.to_json_dict(), measured.to_csv_rows())
 
     if "undirected-compare" in analyses:

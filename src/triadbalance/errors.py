@@ -21,5 +21,6 @@ class UndefinedResultError(ValueError):
     """The requested quantity is undefined for this input.
 
     Raised instead of silently returning 0 or 1, e.g. balance of a graph
-    with no transitive triads, or path length of a singleton component.
+    with no transitive triads, or path length when the giant component has
+    fewer than two nodes.
     """

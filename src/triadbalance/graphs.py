@@ -9,9 +9,9 @@ CRLF alike for paths, bytes and streams.
 Node ids are opaque strings everywhere at the API surface.  Internally each
 graph maps its ids to dense integer indices (sorted id order) and stores its
 edges once, as read-only source, target and sign arrays sorted by index
-pair, and nothing else: edge lookups search the sorted pair keys, and the
-undirected skeleton that preprocessing, the triangle pass and the metrics
-walk is built from the arrays as a CSR when needed (`skeleton_csr`).
+pair, and nothing else.  The connected dyads with their directions and
+signs (`dyad_table`) and the undirected skeleton as a CSR (`skeleton_csr`)
+are built from the arrays when needed.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import operator
 import os
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -143,23 +143,20 @@ class SignedDigraph:
     def n_edges(self) -> int:
         return len(self.src)
 
-    def pair_keys(self) -> np.ndarray:
-        """Key source * n + target of each edge; sorted, as the edges are."""
-        return self.src * self.n_nodes + self.dst
-
-    def _position(self, u: str, v: str) -> int:
-        """Position of the edge u -> v in the edge arrays, or -1."""
-        want = self.index[u] * self.n_nodes + self.index[v]
-        return int(find_keys(self.pair_keys(), want))
+    def position(self, a: int, b: int) -> int:
+        """Position of the edge a -> b of node indices, or -1: a's row, then b."""
+        first, stop = np.searchsorted(self.src, [a, a + 1]).tolist()
+        at = first + int(np.searchsorted(self.dst[first:stop], b))
+        return at if at < stop and self.dst[at] == b else -1
 
     def has_edge(self, u: str, v: str) -> bool:
         try:
-            return self._position(u, v) >= 0
+            return self.position(self.index[u], self.index[v]) >= 0
         except KeyError:
             return False
 
     def sign_of(self, u: str, v: str) -> int:
-        at = self._position(u, v)
+        at = self.position(self.index[u], self.index[v])
         if at < 0:
             raise KeyError((u, v))
         return int(self.sgn[at])
@@ -191,21 +188,34 @@ class SignedDigraph:
         return f"SignedDigraph(n={self.n_nodes}, m={self.n_edges})"
 
 
-def reverse_edges(graph: SignedDigraph) -> np.ndarray:
-    """Per edge (u, v), the position of the edge (v, u), or -1; the reversed
-    keys are searched in sorted order, the fast case of `find_keys`."""
-    reversed_keys = graph.dst * graph.n_nodes + graph.src
-    order = np.argsort(reversed_keys)
-    rev = np.empty(graph.n_edges, dtype=np.int64)
-    rev[order] = find_keys(graph.pair_keys(), reversed_keys[order])
-    return rev
-
-
 def find_keys(keys: np.ndarray, want) -> np.ndarray:
     """Position of each wanted key in the sorted `keys`, or -1 where it is
     absent.  The search is fastest when `want` is sorted too."""
     at = np.searchsorted(keys, want)
-    return np.where(np.append(keys, -1)[at] == want, at, -1)
+    if not len(keys):
+        return np.full_like(at, -1)
+    return np.where(keys.take(at, mode="clip") == want, at, -1)
+
+
+#: dyad codes of reciprocal pairs of opposite signs, which the projection cancels
+_CANCELLING = (0b0111, 0b1011)
+
+
+def dyad_table(graph: SignedDigraph) -> tuple[np.ndarray, np.ndarray]:
+    """The connected dyads as (pairs, codes): the sorted keys lo * n + hi
+    (lo < hi) of the pairs joined by an edge, and the 4-bit code of each:
+    bit 0 set when lo -> hi is an edge, bit 1 when hi -> lo is, and bits 2
+    and 3 when those edges are negative.  One sort of the edges tagged with
+    their pair and their own bits, then one OR per pair."""
+    src, dst = graph.src, graph.dst
+    forward = src < dst
+    lo, hi = np.where(forward, src, dst), np.where(forward, dst, src)
+    negative = (graph.sgn < 0).astype(np.int64)
+    bits = np.where(forward, 1 | negative << 2, 2 | negative << 3)
+    tagged = np.sort((lo * graph.n_nodes + hi) << 4 | bits)
+    pairs = tagged >> 4
+    first = np.flatnonzero(np.diff(pairs, prepend=-1))
+    return pairs[first], np.bitwise_or.reduceat(tagged & 15, first)
 
 
 def skeleton_csr(n_nodes: int, src: np.ndarray,
@@ -266,10 +276,21 @@ def load_edge_records(source, fmt: str) -> EdgeColumns:
         columns = _split_regular(text)
         if columns is not None:
             return columns
-    stream = io.StringIO(text, newline="")
     if fmt == "signed-matrix":
-        return _parse_matrix(stream)
-    return _parse_lines(stream, fmt)
+        return _parse_matrix(_lines(text))
+    return _parse_lines(_lines(text), fmt)
+
+
+def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
+    """The lines of `text` with their ends, split at LF, CR and CRLF only,
+    as `io.StringIO(text, newline="")` does, but copying about `block`
+    characters at a time: a block ends after an LF, which ends a line
+    either way.  (`str.splitlines` also splits at form feeds and others.)"""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + block) + 1 or len(text)
+        yield from io.StringIO(text[start:stop], newline="")
+        start = stop
 
 
 def _split_regular(text: str) -> EdgeColumns | None:
@@ -307,10 +328,10 @@ def _split_regular(text: str) -> EdgeColumns | None:
     return EdgeColumns(fields[0:stop:3], fields[1:stop:3], weights)
 
 
-def _parse_lines(stream: IO[str], fmt: str) -> EdgeColumns:
+def _parse_lines(lines: Iterable[str], fmt: str) -> EdgeColumns:
     sep = "," if fmt == "csv-rating" else "\t"
     sources, targets, weights = [], [], []
-    for line_no, raw in enumerate(stream, start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -342,9 +363,9 @@ def _parse_lines(stream: IO[str], fmt: str) -> EdgeColumns:
     return EdgeColumns(sources, targets, np.array(weights, dtype=np.float64))
 
 
-def _parse_matrix(stream: IO[str]) -> EdgeColumns:
+def _parse_matrix(lines: Iterable[str]) -> EdgeColumns:
     rows: list[list[float]] = []
-    for line_no, raw in enumerate(stream, start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -494,13 +515,6 @@ def preprocess(graph: SignedDigraph,
 # -- undirected projection -----------------------------------------------------
 
 
-def _cancelled(graph: SignedDigraph) -> np.ndarray:
-    """Per edge (u, v), whether (v, u) is an edge of the opposite sign, so
-    that the projection cancels the pair."""
-    rev = reverse_edges(graph)
-    return (rev >= 0) & (graph.sgn[rev] != graph.sgn)
-
-
 def project_undirected(graph: SignedDigraph) -> SignedDigraph:
     """Collapse the digraph onto unordered pairs, as a symmetric digraph on
     the same ids: every kept pair appears in both directions with its one
@@ -510,24 +524,26 @@ def project_undirected(graph: SignedDigraph) -> SignedDigraph:
     opposite signs -> the pair cancels out entirely; a single direction is
     kept with its sign.
     """
-    kept = ~_cancelled(graph)
-    src, dst, sgn = graph.src[kept], graph.dst[kept], graph.sgn[kept]
+    pairs, codes = dyad_table(graph)
+    kept = ~np.isin(codes, _CANCELLING)
     n = graph.n_nodes
-    # each kept edge in both directions; the two edges of an agreeing
-    # reciprocal pair give the same two keys, of which one is kept
-    pairs, first = np.unique(np.concatenate([src * n + dst, dst * n + src]),
-                             return_index=True)
-    return SignedDigraph._from_arrays(graph.ids, *np.divmod(pairs, n),
-                                      np.concatenate([sgn, sgn])[first])
+    lo, hi = np.divmod(pairs[kept], n)
+    sgn = np.where(codes[kept] & 0b1100, -1, 1)  # a negative edge: negative
+    keys = np.concatenate([lo * n + hi, hi * n + lo])
+    order = np.argsort(keys)
+    return SignedDigraph._from_arrays(graph.ids, *np.divmod(keys[order], n),
+                                      np.concatenate([sgn, sgn])[order])
 
 
-def cancelled_pairs(graph: SignedDigraph) -> list[tuple[str, str]]:
+def cancelled_pairs(graph: SignedDigraph,
+                    table: tuple | None = None) -> list[tuple[str, str]]:
     """Unordered pairs removed by the projection's sign-mismatch rule,
-    sorted (index order is id order)."""
-    cancelled = _cancelled(graph) & (graph.src < graph.dst)
+    sorted (index order is id order).  `table` is the graph's `dyad_table`,
+    when made already."""
+    pairs, codes = dyad_table(graph) if table is None else table
     ids = graph.ids
-    return [(ids[u], ids[v]) for u, v in zip(graph.src[cancelled].tolist(),
-                                             graph.dst[cancelled].tolist())]
+    lo, hi = np.divmod(pairs[np.isin(codes, _CANCELLING)], graph.n_nodes)
+    return [(ids[u], ids[v]) for u, v in zip(lo.tolist(), hi.tolist())]
 
 
 # -- canonical dump --------------------------------------------------------------

@@ -6,7 +6,7 @@ deliberately discarded.  Descriptive measures follow the usual convention
 for directed data: density counts ordered pairs on the digraph, while
 transitivity, clustering and path length are computed on the unsigned
 undirected skeleton (any directed edge induces a skeleton edge).  The
-skeleton's triangles come from the census module's triangle listing, and
+triangles at each node come from the census module's triangle pass, and
 the average path length is exact, from a bit-parallel multi-source BFS over
 the skeleton (Then et al., VLDB 2014) with 1024 sources per sweep, in O(n)
 memory rather than an O(n^2) distance matrix.  Each BFS level pulls the
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import TriadTallies, _triangle_chunks, scan_triads
+from .census import TriadTallies, scan_triads
 from .errors import UndefinedResultError
 from .graphs import SignedDigraph, largest_component, skeleton_csr
 
@@ -172,8 +172,9 @@ def _distance_sum(indptr: np.ndarray, indices: np.ndarray) -> int:
     of each node's neighbours, so every source of the sweep advances one
     step; the sources newly reached are at that level's distance.  The OR is
     pulled through `_pull_plan`: one gather and one in-place OR per column
-    into its row prefix, then one `reduceat` over the tail.  The distance sum
-    does not depend on the labelling, so the sweeps run on the plan's labels.
+    into its row prefix, then one `reduceat` over the tail, until the last
+    pair is reached.  The distance sum does not depend on the labelling, so
+    the sweeps run on the plan's labels.
     """
     n = len(indptr) - 1
     # every row of a connected graph with n >= 2 has a neighbour, so the
@@ -190,8 +191,10 @@ def _distance_sum(indptr: np.ndarray, indices: np.ndarray) -> int:
         frontier[first + sources, sources // 64] = (
             np.uint64(1) << (sources % 64).astype(np.uint64))
         unvisited = ~frontier
+        # ordered pairs (source, node) of this sweep not reached yet
+        remaining = len(sources) * (n - 1)
         level = 0
-        while True:
+        while remaining:
             level += 1
             # the plan's labels are all in range, so mode="clip" clips
             # nothing and spares the buffered copy of the default mode
@@ -214,22 +217,29 @@ def _distance_sum(indptr: np.ndarray, indices: np.ndarray) -> int:
             if not reached:
                 break
             total += level * reached
+            remaining -= reached
             unvisited ^= frontier
     return total
 
 
-def metrics(graph: SignedDigraph) -> GraphMetrics:
+def metrics(graph: SignedDigraph,
+            tallies: TriadTallies | None = None) -> GraphMetrics:
     """Descriptive measures, computed on the giant weakly-connected component.
 
     The component count refers to the graph as passed in; everything else is
     evaluated after giant-component selection (without pendant pruning).
+    Triangles come from `tallies`, the graph's `scan_triads` pass, if given.
     """
     giant, component_count = largest_component(graph.n_nodes, graph.src,
                                                graph.dst)
     n = len(giant)
     if n < 2:
-        raise UndefinedResultError(
-            "average path length undefined for a singleton component")
+        raise UndefinedResultError("average path length undefined: the giant "
+                                   "component has fewer than two nodes")
+    if tallies is None:
+        tallies = scan_triads(graph)
+    # a triangle never spans two components
+    tri_per_node = np.array(tallies.node_triangles, dtype=np.int64)[giant]
     if n < graph.n_nodes:
         graph = graph.subgraph(giant)
     src, dst = graph.src, graph.dst
@@ -237,10 +247,6 @@ def metrics(graph: SignedDigraph) -> GraphMetrics:
 
     indptr, indices = skeleton_csr(n, src, dst)
     degrees = np.diff(indptr)
-    # each triangle counts once at each of its three nodes
-    tri_per_node = np.zeros(n, dtype=np.int64)
-    for triangle in _triangle_chunks(indptr, indices):
-        tri_per_node += np.bincount(np.concatenate(triangle), minlength=n)
     wedges = int((degrees * (degrees - 1) // 2).sum())
     # the per-node counts see each triangle three times
     transitivity = int(tri_per_node.sum()) / wedges if wedges else 0.0

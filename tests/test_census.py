@@ -1,5 +1,5 @@
 import importlib
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 from unittest import mock
 
@@ -171,6 +171,14 @@ def test_scan_across_wedge_chunks_matches_oracle(n, edge_prob, seed):
         nodes for nodes, cls, _ in reference.triads
         if cls in ("030C", "120C", "210")
         and not any(p in cancelled for p in permutations(nodes, 2)))
+    assert tallies.cancelled == sorted((u, v) for u, v in cancelled if u < v)
+    adjacent = {frozenset(pair) for pair in signs}
+    at_node = dict.fromkeys(g.ids, 0)
+    for nodes in combinations(g.ids, 3):
+        if all(frozenset(p) in adjacent for p in combinations(nodes, 2)):
+            for node in nodes:
+                at_node[node] += 1
+    assert tallies.node_triangles == tuple(at_node[i] for i in g.ids)
 
 
 # -- census ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ from triadbalance import (EdgeColumns, PreprocessConfig, SignedDigraph,
                           load_edge_records, load_tsv, metrics, preprocess,
                           project_undirected)
 from triadbalance.errors import FormatError, ParseError
-from triadbalance.graphs import (AGGREGATE_RULES, _parse_lines,
-                                 _split_regular)
+from triadbalance.graphs import (AGGREGATE_RULES, _lines, _parse_lines,
+                                 _parse_matrix, _split_regular, find_keys)
 from triadbalance.oracle import random_signed_digraph
 
 
@@ -141,8 +141,8 @@ def _outcome(parse):
     """The columns one parse returns, or the error message it raises."""
     try:
         return _lists(parse())
-    except ParseError as exc:
-        return f"ParseError {exc}"
+    except (ParseError, FormatError) as exc:
+        return f"{type(exc).__name__} {exc}"
 
 
 def test_regular_split_equals_the_line_loop():
@@ -159,6 +159,53 @@ def test_regular_split_equals_the_line_loop():
         assert _outcome(lambda: load_edge_records(data, "tsv-sign")) == loop, text
         if not odd_lines and text:
             assert _split_regular(text) is not None, text
+
+
+#: characters that str.splitlines takes for line ends but io does not
+_SPLITLINES_ONLY = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                    "\u2029"]
+
+
+def _line_loop_text(rng, fmt):
+    """A text of 0-5 lines of the format, whose ids or cell gaps hold those
+    characters, each line ending in LF, CR or CRLF; the last end may be
+    missing, and one weight in 20 is malformed."""
+    size = int(rng.integers(0, 6))
+    lines = []
+    for _ in range(size):
+        if fmt == "signed-matrix":
+            gaps = [str(rng.choice([" ", ",", *_SPLITLINES_ONLY]))
+                    for _ in range(size - 1)] + [""]
+            cells = rng.choice(["0", "1", "-1", "2.5"], size)
+            lines.append("".join(c + g for c, g in zip(cells, gaps)))
+        else:
+            ids = ["".join([rng.choice(["a", "1"]),
+                            rng.choice(["", *_SPLITLINES_ONLY]),
+                            rng.choice(["a", "1"])]) for _ in range(2)]
+            fields = [*ids, str(rng.choice(["1", "-1", "+1"] * 6 + ["2.5",
+                                                                    "x"]))]
+            if fmt == "csv-rating" and rng.random() < 0.5:
+                fields.append("17")
+            lines.append(("," if fmt == "csv-rating" else "\t").join(fields))
+    ends = [str(end) for end in rng.choice(["\n", "\r", "\r\n"], size)]
+    if lines and rng.random() < 0.3:
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@pytest.mark.parametrize("fmt", ["csv-rating", "tsv-sign", "signed-matrix"])
+def test_line_loop_splits_lines_as_io_does(fmt):
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        text = _line_loop_text(rng, fmt)
+        want = list(io.StringIO(text, newline=""))
+        # blocks of 1-3 characters cut almost every text at every line
+        for block in (1 << 16, 1, 2, 3):
+            assert list(_lines(text, block)) == want
+        stream = io.StringIO(text, newline="")
+        want = _outcome(lambda: _parse_matrix(stream) if fmt == "signed-matrix"
+                        else _parse_lines(stream, fmt))
+        assert _outcome(lambda: load_edge_records(text.encode(), fmt)) == want
 
 
 def test_regular_split_hands_over_on_any_whitespace():
@@ -484,6 +531,33 @@ def test_projection_mismatch_cancels():
     assert cancelled_pairs(g) == [("u", "v")]
 
 
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_edge_lookups_match_edge_items(seed):
+    g = random_signed_digraph(9, 0.3, 0.5, seed)
+    signs = _signs(g)
+    items = list(g.edge_items())
+    if items:  # the first and the last pair key
+        assert g.sign_of(*items[0][:2]) == items[0][2]
+        assert g.sign_of(*items[-1][:2]) == items[-1][2]
+    for u in (*g.ids, "unknown"):
+        for v in (*g.ids, "unknown"):
+            assert g.has_edge(u, v) == ((u, v) in signs)
+            if (u, v) in signs:
+                assert g.sign_of(u, v) == signs[(u, v)]
+            else:
+                with pytest.raises(KeyError):
+                    g.sign_of(u, v)
+
+
+def test_find_keys_marks_absent_keys():
+    keys = np.array([2, 5, 9])
+    assert find_keys(keys, [0, 2, 3, 5, 9, 10]).tolist() == [-1, 0, -1, 1, 2,
+                                                            -1]
+    assert find_keys(keys, 9) == 2
+    assert find_keys(np.zeros(0, dtype=np.int64), [0, 4]).tolist() == [-1, -1]
+
+
 def test_projection_single_direction_kept():
     g = SignedDigraph([("u", "v", -1)])
     p = project_undirected(g)
@@ -500,10 +574,10 @@ def test_cancelled_pairs_match_reference(seed):
     want = sorted({(min(u, v), max(u, v)) for (u, v), s in signs.items()
                    if signs.get((v, u), s) != s})
     assert cancelled_pairs(g) == want
-    pairs = {(min(u, v), max(u, v)) for (u, v) in signs}
-    projected = {(min(u, v), max(u, v))
-                 for (u, v) in _signs(project_undirected(g))}
-    assert projected == pairs - set(want)
+    # a kept pair takes the sign of its edges, in both directions
+    assert _signs(project_undirected(g)) == {
+        pair: s for (u, v), s in signs.items() if (min(u, v), max(u, v))
+        not in want for pair in ((u, v), (v, u))}
 
 
 @given(seed=st.integers(0, 10**6))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ from triadbalance import (TRIPLES_PER_TYPE, SignedDigraph,
                           composition_directed, composition_undirected,
                           metrics, scan_triads)
 from triadbalance.errors import UndefinedResultError
+from triadbalance.graphs import PreprocessConfig, preprocess
 from triadbalance.oracle import brute_force, random_signed_digraph
 
 
@@ -125,9 +127,10 @@ def test_metrics_component_count_of_input():
 
 
 def test_metrics_singleton_undefined():
-    g = SignedDigraph(nodes=["a"])
-    with pytest.raises(UndefinedResultError):
-        metrics(g)
+    for g in (SignedDigraph(nodes=["a"]), SignedDigraph()):
+        with pytest.raises(UndefinedResultError,
+                           match="giant component has fewer than two nodes"):
+            metrics(g)
 
 
 @pytest.mark.parametrize("n", [2, 63, 64, 65, 512, 513, 1024, 1025, 1100,
@@ -222,7 +225,6 @@ def _brute_transitivity_clustering(adj, n):
 @settings(max_examples=25, deadline=None)
 def test_metrics_match_brute_force(seed):
     g = random_signed_digraph(14, 0.25, 0.4, seed)
-    from triadbalance.graphs import PreprocessConfig, preprocess
     giant = preprocess(g, PreprocessConfig(prune_pendants=False))
     if giant.n_nodes < 2:
         return
@@ -233,3 +235,23 @@ def test_metrics_match_brute_force(seed):
     transitivity, clustering = _brute_transitivity_clustering(adj, n)
     assert m.transitivity == pytest.approx(transitivity, abs=1e-9)
     assert m.clustering_coefficient == pytest.approx(clustering, abs=1e-9)
+
+
+def test_metrics_reuse_the_triangle_pass_on_all_components():
+    # three components with triangles, kept whole: the giant's per-node
+    # triangle counts are a slice of the pass over the whole graph
+    edges = [("a", "b", 1), ("b", "c", -1), ("c", "a", 1), ("c", "d", 1),
+             ("d", "a", 1), ("d", "e", -1), ("e", "a", 1),
+             ("p", "q", 1), ("q", "r", 1), ("r", "p", -1),
+             ("x", "y", 1), ("y", "z", 1), ("z", "x", 1), ("z", "w", 1),
+             ("w", "x", -1), ("w", "y", 1)]
+    g = preprocess(SignedDigraph(edges),
+                   PreprocessConfig(keep_component="all"))
+    assert g.n_nodes == 12
+    tallies = scan_triads(g)
+    assert metrics(g, tallies) == metrics(g)
+    measured = metrics(g, tallies)
+    assert (measured.node_count, measured.component_count) == (5, 3)
+    assert measured.transitivity == pytest.approx(9 / 14)
+    giant = preprocess(SignedDigraph(edges))
+    assert measured == replace(metrics(giant), component_count=3)

@@ -65,14 +65,14 @@ def triad_balance(graph: SignedDigraph, triad: Triad) -> TriadBalance:
     return TriadBalance(triad, balanced, total, balanced / total, cls)
 
 
-def type_balance(graph: SignedDigraph, workers: int = 1) -> list[TypeBalance]:
+def type_balance(graph: SignedDigraph) -> list[TypeBalance]:
     """Per-type triad counts and triple-weighted balance ratios.
 
     All triads of one type carry the same number of triples, so the
     triple-weighted ratio coincides with the mean of per-triad ratios
     within the type.
     """
-    return _type_balance_from_tallies(scan_triads(graph, workers=workers))
+    return _type_balance_from_tallies(scan_triads(graph))
 
 
 def _type_balance_from_tallies(tallies: TriadTallies) -> list[TypeBalance]:
@@ -100,8 +100,7 @@ def aggregate_type_mean(entries: Iterable[tuple[float | None, int]]) -> float:
     return math.fsum(present) / len(present)
 
 
-def overall_balance(graph: SignedDigraph, mode: str = "type-mean",
-                    workers: int = 1) -> float:
+def overall_balance(graph: SignedDigraph, mode: str = "type-mean") -> float:
     """Graph-level partial balance.
 
     type-mean: unweighted mean of per-type ratios over the occurring types.
@@ -109,19 +108,18 @@ def overall_balance(graph: SignedDigraph, mode: str = "type-mean",
     """
     if mode not in BALANCE_MODES:
         raise ValueError(f"unknown balance mode {mode!r}")
-    report = build_report(graph, workers=workers)
+    report = build_report(graph)
     if mode == "type-mean":
         return report.overall_type_mean
     return report.overall_triad_mean
 
 
-def nonpartial_balance(graph: SignedDigraph,
-                       workers: int = 1) -> tuple[float, int, int]:
+def nonpartial_balance(graph: SignedDigraph) -> tuple[float, int, int]:
     """Binary scoring: a triad counts as balanced only when completely so.
 
     Returns (ratio, balanced_count, imbalanced_count).
     """
-    return build_report(graph, workers=workers).nonpartial
+    return build_report(graph).nonpartial
 
 
 def undirected_balance(graph: SignedDigraph) -> tuple[int, int, int, float | None]:
@@ -186,11 +184,11 @@ class BalanceReport:
         return rows
 
 
-def build_report(graph: SignedDigraph, workers: int = 1,
+def build_report(graph: SignedDigraph,
                  undirected: bool = False) -> BalanceReport:
     """Single-pass balance report, with the undirected figures when
     `undirected` is set; raises when no transitive triad exists."""
-    return report_from_tallies(scan_triads(graph, workers=workers), undirected)
+    return report_from_tallies(scan_triads(graph), undirected)
 
 
 def report_from_tallies(tallies: TriadTallies,

@@ -271,29 +271,21 @@ class TriadTallies:
 
 def resolve_workers(requested: int | None = None) -> int:
     """Worker budget: the explicit request or the CPU count, capped by the
-    CPUs this process may run on and by the BALANCE_THREADS environment
-    variable.  It is recorded in run manifests; the triangle pass itself
-    runs in one process whatever the budget."""
+    CPUs this process may run on.  Nothing in the analysis reads it; it is
+    kept, with `cli.RunConfig.workers` and the manifest's "workers", because
+    the benchmark under `bench/` calls it and records it."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not available on every platform
         cpus = os.cpu_count() or 1
-    workers = min(requested, cpus) if requested and requested > 0 else cpus
-    cap = os.environ.get("BALANCE_THREADS")
-    if cap:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, workers)
+    return max(1, min(requested, cpus) if requested and requested > 0 else cpus)
 
 
-def scan_triads(graph: SignedDigraph, workers: int = 1) -> TriadTallies:
+def scan_triads(graph: SignedDigraph) -> TriadTallies:
     """One pass over the dyads and the triangles, in this process.
 
-    `workers` is accepted for callers that pass a worker budget and does
-    not change the pass.  The tallies are all integer and the lists are
-    sorted, so results do not depend on the chunking.
+    The tallies are all integer and the lists are sorted, so results do not
+    depend on the chunking.
     """
     n = graph.n_nodes
     pairs, codes = dyad_table(graph)
@@ -439,5 +431,8 @@ def census_from_tallies(graph: SignedDigraph,
 
 
 def census(graph: SignedDigraph, workers: int = 1) -> CensusTable:
-    """Full 16-class census; see `census_from_tallies`."""
-    return census_from_tallies(graph, scan_triads(graph, workers=workers))
+    """Full 16-class census; see `census_from_tallies`.
+
+    `workers` is not read: the pass runs in one process.  It stays because
+    the criterion-7 acceptance tests call `census(graph, workers=...)`."""
+    return census_from_tallies(graph, scan_triads(graph))

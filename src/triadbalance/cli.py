@@ -45,11 +45,15 @@ class RunConfig:
     balance_mode: str = "type-mean"
     out_dir: str = "reports"
     emit: tuple[str, ...] = ("json", "csv")
+    #: recorded in the manifest through `resolve_workers` and read by
+    #: nothing else; kept because the benchmark under `bench/` sets it
     workers: int | None = None
 
     def validate(self) -> None:
         if not self.analyses:
             raise ValueError("at least one analysis must be selected")
+        if not self.emit:
+            raise ValueError("at least one emit format must be selected")
         unknown = set(self.analyses) - set(ANALYSES)
         if unknown:
             raise ValueError(f"unknown analyses: {sorted(unknown)}")
@@ -87,13 +91,13 @@ def _load_preprocessed(
     return built, pre, len(records.weights), input_sha256
 
 
-def compare_report(graph: SignedDigraph, workers: int = 1) -> dict:
+def compare_report(graph: SignedDigraph) -> dict:
     """Side-by-side directed-partial / directed-non-partial / undirected
     figures, plus the projection's cancellation and inflation artefacts."""
-    return compare_from_tallies(graph, scan_triads(graph, workers=workers))
+    return compare_from_tallies(scan_triads(graph))
 
 
-def compare_from_tallies(graph: SignedDigraph, tallies: TriadTallies) -> dict:
+def compare_from_tallies(tallies: TriadTallies) -> dict:
     """The comparison of one triangle pass; see `compare_report`."""
     report = balance.report_from_tallies(tallies)
     und = balance.undirected_from_tallies(tallies)
@@ -141,14 +145,13 @@ def _compare_csv_rows(doc: dict) -> list:
     return [header, row]
 
 
-def _reports(config: RunConfig, graph: SignedDigraph,
-             workers: int) -> dict[str, object]:
+def _reports(config: RunConfig, graph: SignedDigraph) -> dict[str, object]:
     """Report file name -> JSON document or CSV rows, for every selected
     analysis and emit format.  Raises UndefinedResultError when a selected
     figure is undefined, such as balance without transitive triads."""
     analyses = set(config.analyses)
     docs: dict[str, tuple[dict, list]] = {}
-    tallies = scan_triads(graph, workers=workers)
+    tallies = scan_triads(graph)
 
     if "census" in analyses:
         table = census_from_tallies(graph, tallies)
@@ -184,7 +187,7 @@ def _reports(config: RunConfig, graph: SignedDigraph,
         docs["metrics"] = (measured.to_json_dict(), measured.to_csv_rows())
 
     if "undirected-compare" in analyses:
-        doc = compare_from_tallies(graph, tallies)
+        doc = compare_from_tallies(tallies)
         docs["compare"] = (doc, _compare_csv_rows(doc))
 
     reports: dict[str, object] = {}
@@ -222,9 +225,8 @@ def run(config: RunConfig) -> int:
     except (UnicodeDecodeError, OSError) as exc:
         return _input_error(f"cannot read input {config.input_path}: {exc}")
 
-    workers = resolve_workers(config.workers)
     try:
-        reports = _reports(config, pre, workers)
+        reports = _reports(config, pre)
     except UndefinedResultError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_TRIADS
@@ -258,7 +260,7 @@ def run(config: RunConfig) -> int:
             "balance_mode": config.balance_mode,
             "analyses": sorted(config.analyses),
             "emit": sorted(config.emit),
-            "workers": workers,
+            "workers": resolve_workers(config.workers),
         },
         "counts": {
             "before": {"nodes": built.n_nodes, "edges": built.n_edges},
@@ -290,11 +292,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="reports", help="output directory")
     parser.add_argument("--emit", default="json,csv",
                         help="comma list of output formats (json,csv)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker budget recorded in the manifest "
-                             "(default: CPU count, capped by "
-                             "BALANCE_THREADS); the triangle pass runs in "
-                             "one process")
 
 
 def _config_from_args(args: argparse.Namespace,
@@ -312,7 +309,6 @@ def _config_from_args(args: argparse.Namespace,
         balance_mode=getattr(args, "balance_mode", "type-mean"),
         out_dir=args.out,
         emit=tuple(s.strip() for s in args.emit.split(",") if s.strip()),
-        workers=args.workers,
     )
 
 

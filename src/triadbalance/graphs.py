@@ -243,7 +243,8 @@ _SIGN_WEIGHT = {"1": 1.0, "+1": 1.0, "-1": -1.0}
 def _read_text(source) -> str:
     """The whole input as one string, from a path, bytes, or a binary or
     text stream.  Paths and bytes are decoded as utf-8-sig, which drops a
-    leading byte-order mark, so it joins no node id."""
+    leading byte-order mark, and text loses one leading mark too, so it
+    joins no node id."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             source = fh.read()
@@ -251,7 +252,7 @@ def _read_text(source) -> str:
         source = source.read()  # a binary or a text stream
     if isinstance(source, bytes):
         return source.decode("utf-8-sig")
-    return source
+    return source.removeprefix("\ufeff")
 
 
 def load_edge_records(source, fmt: str) -> EdgeColumns:

@@ -84,9 +84,9 @@ def undirected_composition_from_tallies(tallies: TriadTallies) -> CompositionTab
     return _table(dict(tallies.undirected), "undirected-triangles")
 
 
-def composition_directed(graph: SignedDigraph, workers: int = 1) -> CompositionTable:
+def composition_directed(graph: SignedDigraph) -> CompositionTable:
     """Sign multisets of every transitive triple across all transitive triads."""
-    return composition_from_tallies(scan_triads(graph, workers=workers))
+    return composition_from_tallies(scan_triads(graph))
 
 
 def composition_undirected(graph: SignedDigraph) -> CompositionTable:

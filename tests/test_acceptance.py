@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import triadbalance as tb
-from triadbalance.census import census, resolve_workers
+from triadbalance.census import census
 from triadbalance.cli import compare_report
 from triadbalance.crosscheck import compare_with_oracle
 from triadbalance.errors import UndefinedResultError
@@ -103,7 +103,7 @@ def _bitcoin_case(path: Path, name: str, type_mean_ref: float,
     start = time.perf_counter()
     records = tb.load_edge_records(path, "csv-rating")
     graph = tb.preprocess(tb.build_graph(records))
-    report = tb.build_report(graph, workers=resolve_workers(None))
+    report = tb.build_report(graph)
     elapsed = time.perf_counter() - start
 
     per_type = {e.type: e for e in report.per_type}

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triadbalance import (TRANSITIVE_TYPES, TRIAD_TYPES, TRIPLES_PER_TYPE,
-                          SignedDigraph, cancelled_pairs, census, classify_man,
+                          SignedDigraph, census, classify_man,
                           enumerate_triads, scan_triads, transitive_triples)
 from triadbalance.census import census_from_tallies
 from triadbalance.errors import NonTransitiveTriadError
@@ -110,17 +110,6 @@ def test_enumeration_matches_oracle(seed):
     fast = {(t.nodes, t.type) for t in enumerate_triads(g)}
     slow = {(nodes, cls) for nodes, cls, _ in brute_force(g).triads}
     assert fast == slow
-
-
-def test_scan_parallel_equals_serial():
-    # dense enough for reciprocal pairs with opposite signs, which cancel
-    # projected triangles, and for 030C/120C/210 triangles
-    g = random_signed_digraph(120, 0.15, 0.4, seed=5)
-    assert cancelled_pairs(g)
-    serial = scan_triads(g, workers=1)
-    parallel = scan_triads(g, workers=3)
-    assert serial.undirected_only
-    assert serial == parallel
 
 
 def _mismatched_digraph(n, edge_prob, seed):

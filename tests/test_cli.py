@@ -132,6 +132,16 @@ def test_cli_import_leaves_scipy_out():
     assert done.stdout.strip() == "False"
 
 
+def test_workers_flag_is_rejected(tmp_path, capsys):
+    data = _write(tmp_path, "g.tsv", TRIANGLE_TSV)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--input", str(data), "--workers", "2",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_directory_input_exits_2(tmp_path, capsys):
     rc = main(["analyze", "--input", str(tmp_path), "--out",
                str(tmp_path / "out")])
@@ -143,13 +153,15 @@ def test_directory_input_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["analyze", "--input", "{tsv}", "--threshold", "nan", "--out", "{out}"],
     ["analyze", "--input", "{tsv}", "--threshold", "inf", "--out", "{out}"],
+    ["analyze", "--input", "{tsv}", "--emit", ",", "--out", "{out}"],
     ["oracle-check", "--input", "{tmp}/missing.tsv"],
     ["oracle-check", "--input", "{matrix}"],
     ["gen-random", "--n", "5", "--edge-prob", "2", "--out", "{out}"],
     ["gen-random", "--n", "5", "--edge-prob", "0.2",
      "--out", "{tmp}/missing/r.tsv"],
-], ids=["threshold-nan", "threshold-inf", "oracle-missing-input",
-        "oracle-matrix-as-tsv", "gen-edge-prob", "gen-missing-out-dir"])
+], ids=["threshold-nan", "threshold-inf", "empty-emit",
+        "oracle-missing-input", "oracle-matrix-as-tsv", "gen-edge-prob",
+        "gen-missing-out-dir"])
 def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, argv):
     paths = {"tmp": tmp_path, "out": tmp_path / "out",
              "tsv": _write(tmp_path, "g.tsv", TRIANGLE_TSV),
@@ -302,15 +314,9 @@ def test_unwritable_out_dir_exits_2(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv", "not-a-dir"]
 
 
-def test_balance_threads_env_cap(monkeypatch):
-    # the request is capped by the CPUs this process may run on, too; no
-    # pool is started here
+def test_worker_budget_capped_by_cpus():
+    # the request is capped by the CPUs this process may run on
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
-    monkeypatch.setenv("BALANCE_THREADS", "1")
-    assert resolve_workers(8) == 1
-    monkeypatch.setenv("BALANCE_THREADS", "3")
-    assert resolve_workers(8) == min(3, cpus)
-    monkeypatch.delenv("BALANCE_THREADS")
     assert resolve_workers(8) == min(8, cpus)
     assert resolve_workers(10**6) == cpus

@@ -59,11 +59,12 @@ def test_byte_stream_input():
     assert _lists(cols) == (["a"], ["b"], [1.0])
 
 
-@pytest.fixture(params=[bytes, io.BytesIO, "path"],
-                ids=["bytes", "BytesIO", "path"])
+@pytest.fixture(params=[bytes, io.BytesIO,
+                        lambda data: io.StringIO(data.decode("utf-8")), "path"],
+                ids=["bytes", "BytesIO", "StringIO", "path"])
 def wrap(request, tmp_path):
-    """Turns input bytes into one kind of source: bytes, a binary stream or
-    a path."""
+    """Turns input bytes into one kind of source: bytes, a binary or a text
+    stream, or a path."""
     if request.param != "path":
         return request.param
 

@@ -1,5 +1,6 @@
-"""Source hygiene: every imported name is used, and every module-level
-private name of the package is read somewhere in it.
+"""Source hygiene: every imported name is used, every module-level private
+name of the package is read somewhere in it, and every parameter of the
+package's functions is read by the function's body.
 
 The package's `__init__.py` is left out of the import check, since its
 imports are re-exports.  `from __future__` imports change the compiler, not
@@ -107,3 +108,58 @@ def test_unused_private_name_is_caught():
     }
     assert unused_private_names(sources) == [("a.py", 2, "_UNUSED"),
                                              ("a.py", 6, "_dead")]
+
+
+#: (file, function, parameter) -> why the parameter stays unread
+UNREAD_PARAMETER_EXEMPTIONS = {
+    ("census.py", "census", "workers"):
+        "the criterion-7 acceptance tests call census(graph, workers=...)",
+}
+
+
+def unread_parameters(source: str) -> list[tuple[int, str, str]]:
+    """(line, function, parameter) of every parameter, other than `self`
+    and `cls`, that the function's body never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, (args.vararg, args.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {child.id for stmt in body for child in ast.walk(stmt)
+                if isinstance(child, ast.Name)
+                and isinstance(child.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [(node.lineno, name, param.arg) for param in params
+                   if param.arg not in ("self", "cls", *read)]
+    return sorted(unread)
+
+
+def test_no_unread_parameters():
+    found = {(path.name, function, param)
+             for path in PACKAGE
+             for _, function, param in unread_parameters(
+                 path.read_text(encoding="utf-8"))}
+    # an exemption that no longer matches anything must go too
+    assert found == set(UNREAD_PARAMETER_EXEMPTIONS)
+
+
+def test_unread_parameter_is_caught():
+    source = ("class A:\n"
+              "    def method(self, used, unused, *args, key=1, **kw):\n"
+              "        unused = used\n"
+              "        return kw[key]\n"
+              "    @classmethod\n"
+              "    def build(cls, spare):\n"
+              "        return cls\n"
+              "def outer(a, b):\n"
+              "    def inner(c):\n"
+              "        return a\n"
+              "    return inner\n"
+              "square = lambda x, y: x * x\n")
+    assert unread_parameters(source) == [
+        (2, "method", "args"), (2, "method", "unused"), (6, "build", "spare"),
+        (8, "outer", "b"), (9, "inner", "c"), (12, "<lambda>", "y")]

@@ -9,7 +9,9 @@ types that occur), the triad-mean (mean of per-triad ratios), and the
 non-partial ratio (fraction of triads that are completely balanced).  The
 undirected counterpart scores each triangle of the projected graph by the
 product of its edge signs.  Every figure is a view of the tallies of one
-triangle pass (`census.scan_triads`).
+triangle pass (`census.scan_triads`): each function but `nonpartial_balance`
+takes the graph's pass as an optional `tallies` argument and makes the pass
+itself when none is given.
 """
 from __future__ import annotations
 
@@ -65,17 +67,16 @@ def triad_balance(graph: SignedDigraph, triad: Triad) -> TriadBalance:
     return TriadBalance(triad, balanced, total, balanced / total, cls)
 
 
-def type_balance(graph: SignedDigraph) -> list[TypeBalance]:
+def type_balance(graph: SignedDigraph,
+                 tallies: TriadTallies | None = None) -> list[TypeBalance]:
     """Per-type triad counts and triple-weighted balance ratios.
 
     All triads of one type carry the same number of triples, so the
     triple-weighted ratio coincides with the mean of per-triad ratios
     within the type.
     """
-    return _type_balance_from_tallies(scan_triads(graph))
-
-
-def _type_balance_from_tallies(tallies: TriadTallies) -> list[TypeBalance]:
+    if tallies is None:
+        tallies = scan_triads(graph)
     result = []
     for cls in TRANSITIVE_TYPES:
         count = tallies.type_triads.get(cls, 0)
@@ -100,7 +101,8 @@ def aggregate_type_mean(entries: Iterable[tuple[float | None, int]]) -> float:
     return math.fsum(present) / len(present)
 
 
-def overall_balance(graph: SignedDigraph, mode: str = "type-mean") -> float:
+def overall_balance(graph: SignedDigraph, mode: str = "type-mean",
+                    tallies: TriadTallies | None = None) -> float:
     """Graph-level partial balance.
 
     type-mean: unweighted mean of per-type ratios over the occurring types.
@@ -108,7 +110,7 @@ def overall_balance(graph: SignedDigraph, mode: str = "type-mean") -> float:
     """
     if mode not in BALANCE_MODES:
         raise ValueError(f"unknown balance mode {mode!r}")
-    report = build_report(graph)
+    report = build_report(graph, tallies=tallies)
     if mode == "type-mean":
         return report.overall_type_mean
     return report.overall_triad_mean
@@ -122,18 +124,17 @@ def nonpartial_balance(graph: SignedDigraph) -> tuple[float, int, int]:
     return build_report(graph).nonpartial
 
 
-def undirected_balance(graph: SignedDigraph) -> tuple[int, int, int, float | None]:
+def undirected_balance(graph: SignedDigraph,
+                       tallies: TriadTallies | None = None
+                       ) -> tuple[int, int, int, float | None]:
     """Triangle balance on the undirected projection of the digraph.
 
     A triangle is balanced when the product of its three edge signs is
     positive.  Returns (triangle_count, balanced, imbalanced, ratio); the
     ratio is None when the projection has no triangles.
     """
-    return undirected_from_tallies(scan_triads(graph))
-
-
-def undirected_from_tallies(tallies: TriadTallies) -> tuple[int, int, int, float | None]:
-    """(triangle_count, balanced, imbalanced, ratio) of the projection."""
+    if tallies is None:
+        tallies = scan_triads(graph)
     und = tallies.undirected
     total = sum(und.values())
     balanced = und["+++"] + und["+--"]
@@ -184,20 +185,16 @@ class BalanceReport:
         return rows
 
 
-def build_report(graph: SignedDigraph,
-                 undirected: bool = False) -> BalanceReport:
+def build_report(graph: SignedDigraph, undirected: bool = False,
+                 tallies: TriadTallies | None = None) -> BalanceReport:
     """Single-pass balance report, with the undirected figures when
     `undirected` is set; raises when no transitive triad exists."""
-    return report_from_tallies(scan_triads(graph), undirected)
-
-
-def report_from_tallies(tallies: TriadTallies,
-                        undirected: bool = False) -> BalanceReport:
-    """The balance report of one triangle pass; see `build_report`."""
+    if tallies is None:
+        tallies = scan_triads(graph)
     transitive = sum(tallies.type_triads.values())
     if transitive == 0:
         raise UndefinedResultError("no transitive triads: balance undefined")
-    per_type = _type_balance_from_tallies(tallies)
+    per_type = type_balance(graph, tallies)
     type_mean = aggregate_type_mean((tb.ratio, tb.triad_count) for tb in per_type)
     # every triad of a type has the same number of triples, so the per-triad
     # ratios of a type sum to its balanced triples over that number
@@ -211,5 +208,5 @@ def report_from_tallies(tallies: TriadTallies,
         overall_triad_mean=triad_mean,
         nonpartial=(balanced / transitive, balanced, transitive - balanced),
         classification_counts={c: tallies.classification[c] for c in CLASSIFICATIONS},
-        undirected=undirected_from_tallies(tallies) if undirected else None,
+        undirected=undirected_balance(graph, tallies) if undirected else None,
     )

@@ -20,8 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, balance, oracle, signstats
-from .census import (TriadTallies, census_from_tallies, resolve_workers,
-                     scan_triads)
+from .census import TriadTallies, census, resolve_workers, scan_triads
 from .errors import FormatError, ParseError, UndefinedResultError
 from .graphs import (INPUT_FORMATS, PreprocessConfig, SignedDigraph,
                      build_graph, dump_tsv, load_edge_records, preprocess)
@@ -91,16 +90,14 @@ def _load_preprocessed(
     return built, pre, len(records.weights), input_sha256
 
 
-def compare_report(graph: SignedDigraph) -> dict:
+def compare_report(graph: SignedDigraph,
+                   tallies: TriadTallies | None = None) -> dict:
     """Side-by-side directed-partial / directed-non-partial / undirected
     figures, plus the projection's cancellation and inflation artefacts."""
-    return compare_from_tallies(scan_triads(graph))
-
-
-def compare_from_tallies(tallies: TriadTallies) -> dict:
-    """The comparison of one triangle pass; see `compare_report`."""
-    report = balance.report_from_tallies(tallies)
-    und = balance.undirected_from_tallies(tallies)
+    if tallies is None:
+        tallies = scan_triads(graph)
+    report = balance.build_report(graph, True, tallies)
+    und = report.undirected
     # projected triangles are the digraph's triangles without a cancelled
     # pair; those of a non-transitive class are inflation by the projection
     undirected_only = [list(tri) for tri in tallies.undirected_only]
@@ -154,7 +151,7 @@ def _reports(config: RunConfig, graph: SignedDigraph) -> dict[str, object]:
     tallies = scan_triads(graph)
 
     if "census" in analyses:
-        table = census_from_tallies(graph, tallies)
+        table = census(graph, tallies)
         docs["census"] = (
             {"n_nodes": table.n_nodes,
              "include_disconnected": table.include_disconnected,
@@ -162,18 +159,17 @@ def _reports(config: RunConfig, graph: SignedDigraph) -> dict[str, object]:
             [["triad_type", "count"]] + [list(r) for r in table.to_csv_rows()])
 
     if "balance" in analyses:
-        report = balance.report_from_tallies(
-            tallies, undirected="undirected-compare" in analyses)
+        report = balance.build_report(
+            graph, "undirected-compare" in analyses, tallies)
         doc = report.to_json_dict()
         doc["mode"] = config.balance_mode
-        doc["overall_balance"] = (report.overall_type_mean
-                                  if config.balance_mode == "type-mean"
-                                  else report.overall_triad_mean)
+        doc["overall_balance"] = balance.overall_balance(
+            graph, config.balance_mode, tallies)
         docs["balance"] = (doc, report.to_csv_rows())
 
     if "composition" in analyses:
-        table = signstats.composition_from_tallies(tallies)
-        und_table = signstats.undirected_composition_from_tallies(tallies)
+        table = signstats.composition_directed(graph, tallies)
+        und_table = signstats.composition_undirected(graph, tallies)
         name = Path(config.input_path).stem
         docs["composition"] = (
             {"network": name,
@@ -187,7 +183,7 @@ def _reports(config: RunConfig, graph: SignedDigraph) -> dict[str, object]:
         docs["metrics"] = (measured.to_json_dict(), measured.to_csv_rows())
 
     if "undirected-compare" in analyses:
-        doc = compare_from_tallies(tallies)
+        doc = compare_report(graph, tallies)
         docs["compare"] = (doc, _compare_csv_rows(doc))
 
     reports: dict[str, object] = {}

@@ -344,6 +344,8 @@ def _parse_lines(lines: Iterable[str], fmt: str) -> EdgeColumns:
         source, target = parts[0].strip(), parts[1].strip()
         if not source or not target:
             raise ParseError(line_no, "empty node id")
+        if "\t" in source or "\t" in target:  # the TSV dump could not hold it
+            raise ParseError(line_no, "TAB in node id")
         try:
             weight = float(parts[2])
         except ValueError:

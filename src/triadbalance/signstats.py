@@ -76,23 +76,21 @@ def _table(counts: dict, basis: str) -> CompositionTable:
                             basis=basis, total=total)
 
 
-def composition_from_tallies(tallies: TriadTallies) -> CompositionTable:
+def composition_directed(graph: SignedDigraph,
+                         tallies: TriadTallies | None = None) -> CompositionTable:
+    """Sign multisets of every transitive triple across all transitive triads."""
+    if tallies is None:
+        tallies = scan_triads(graph)
     return _table(dict(tallies.composition), "directed-triples")
 
 
-def undirected_composition_from_tallies(tallies: TriadTallies) -> CompositionTable:
-    return _table(dict(tallies.undirected), "undirected-triangles")
-
-
-def composition_directed(graph: SignedDigraph) -> CompositionTable:
-    """Sign multisets of every transitive triple across all transitive triads."""
-    return composition_from_tallies(scan_triads(graph))
-
-
-def composition_undirected(graph: SignedDigraph) -> CompositionTable:
+def composition_undirected(graph: SignedDigraph,
+                           tallies: TriadTallies | None = None) -> CompositionTable:
     """Sign multisets of all closed triangles of the digraph's undirected
     projection."""
-    return undirected_composition_from_tallies(scan_triads(graph))
+    if tallies is None:
+        tallies = scan_triads(graph)
+    return _table(dict(tallies.undirected), "undirected-triangles")
 
 
 @dataclass(frozen=True)

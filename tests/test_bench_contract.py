@@ -6,6 +6,8 @@ own self-test: `bench/tracer.py` wraps every function in its `WRAPPED`
 table inside the modules in `MODULES`, `bench/worker.py` builds
 `cli.RunConfig(..., workers=...)` and calls `census.resolve_workers`, and
 `bench/run.py` checks reports with `brute_force(SignedDigraph(edges))`.
+The tracer's per-layer figures also rely on `analyze` handing its one
+triangle pass to the public function of each report.
 """
 import importlib
 import importlib.util
@@ -34,6 +36,23 @@ def test_tracer_wrapped_names_resolve():
         assert callable(getattr(owner, attr, None)), name
     for module in tracer.MODULES:
         importlib.import_module(module)
+
+
+def test_traced_run_makes_one_pass_and_enters_every_view(tmp_path):
+    data = tmp_path / "g.tsv"
+    data.write_text("a\tb\t+1\nb\tc\t-1\na\tc\t-1\nc\td\t+1\n"
+                    "d\ta\t+1\nb\td\t+1\nd\tb\t-1\n", encoding="utf-8")
+    tracer = _tracer().Tracer()
+    config = cli.RunConfig(input_path=str(data), out_dir=str(tmp_path / "out"))
+    assert config.analyses == cli.ANALYSES
+    with tracer.installed():
+        assert cli.run(config) == 0
+    times = tracer.self_times(tracer.run_id)
+    calls = {name: n for name, (_, n) in times.items()}
+    assert calls["census.scan"] == 1
+    for name in ("census.census", "balance.report", "signstats.composition",
+                 "cli.compare", "signstats.metrics"):
+        assert calls.get(name, 0) >= 1, name
 
 
 def test_worker_run_config_and_workers(tmp_path):

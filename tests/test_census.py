@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triadbalance import (TRANSITIVE_TYPES, TRIAD_TYPES, TRIPLES_PER_TYPE,
-                          SignedDigraph, census, classify_man,
-                          enumerate_triads, scan_triads, transitive_triples)
-from triadbalance.census import census_from_tallies
+                          SignedDigraph, build_report, census, classify_man,
+                          composition_directed, composition_undirected,
+                          enumerate_triads, metrics, overall_balance,
+                          scan_triads, transitive_triples, type_balance,
+                          undirected_balance)
+from triadbalance.cli import compare_report
 from triadbalance.errors import NonTransitiveTriadError
 from triadbalance.oracle import _PATTERNS, brute_force, random_signed_digraph
 
@@ -135,7 +138,7 @@ def test_scan_across_wedge_chunks_matches_oracle(n, edge_prob, seed):
     with mock.patch.object(census_module, "_WEDGE_CHUNK", 3):
         tallies = scan_triads(g)
     reference = brute_force(g)
-    assert census_from_tallies(g, tallies).counts == {
+    assert census(g, tallies).counts == {
         cls: reference.census.get(cls, 0) for cls in TRIAD_TYPES}
     for cls, (count, balanced, total) in reference.type_balance.items():
         assert tallies.type_triads.get(cls, 0) == count
@@ -168,6 +171,21 @@ def test_scan_across_wedge_chunks_matches_oracle(n, edge_prob, seed):
             for node in nodes:
                 at_node[node] += 1
     assert tallies.node_triangles == tuple(at_node[i] for i in g.ids)
+
+
+@pytest.mark.parametrize("view, args", [
+    (census, ()), (type_balance, ()), (undirected_balance, ()),
+    (build_report, (True,)), (overall_balance, ("type-mean",)),
+    (overall_balance, ("triad-mean",)), (composition_directed, ()),
+    (composition_undirected, ()), (compare_report, ()), (metrics, ())],
+    ids=["census", "type_balance", "undirected_balance", "build_report",
+         "overall_type_mean", "overall_triad_mean", "composition_directed",
+         "composition_undirected", "compare_report", "metrics"])
+def test_view_of_a_given_pass_equals_its_own_pass(view, args):
+    g = _mismatched_digraph(40, 0.2, 5)
+    tallies = scan_triads(g)
+    assert tallies.cancelled and tallies.undirected_only
+    assert view(g, *args) == view(g, *args, tallies=tallies)
 
 
 # -- census ----------------------------------------------------------------------

@@ -159,13 +159,16 @@ def test_directory_input_exits_2(tmp_path, capsys):
     ["gen-random", "--n", "5", "--edge-prob", "2", "--out", "{out}"],
     ["gen-random", "--n", "5", "--edge-prob", "0.2",
      "--out", "{tmp}/missing/r.tsv"],
+    ["analyze", "--input", "{csv}", "--format", "csv-rating",
+     "--out", "{out}"],
 ], ids=["threshold-nan", "threshold-inf", "empty-emit",
         "oracle-missing-input", "oracle-matrix-as-tsv", "gen-edge-prob",
-        "gen-missing-out-dir"])
+        "gen-missing-out-dir", "csv-tab-in-id"])
 def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, argv):
     paths = {"tmp": tmp_path, "out": tmp_path / "out",
              "tsv": _write(tmp_path, "g.tsv", TRIANGLE_TSV),
-             "matrix": _write(tmp_path, "m.txt", "0 1 1\n1 0 1\n1 1 0\n")}
+             "matrix": _write(tmp_path, "m.txt", "0 1 1\n1 0 1\n1 1 0\n"),
+             "csv": _write(tmp_path, "tab.csv", "a\tx,b,1\nb,c,1\na\tx,c,1\n")}
     rc = main([arg.format(**paths) for arg in argv])
     assert rc == 2
     assert "error:" in capsys.readouterr().err

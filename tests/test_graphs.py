@@ -99,6 +99,13 @@ def test_parse_error_bad_weight():
         load_edge_records(io.StringIO("a,b,much\n"), "csv-rating")
 
 
+@pytest.mark.parametrize("line", ["a\tx,b,1", "b,a\tx,-2", "a,b\tx,3,17"])
+def test_csv_rating_rejects_tab_in_node_id(line):
+    # a graph.tsv line holding such an id would have four TAB fields
+    with pytest.raises(ParseError, match="line 2: TAB in node id"):
+        load_edge_records(io.StringIO(f"a,b,1\n{line}\n"), "csv-rating")
+
+
 @pytest.mark.parametrize("weight", ["5", "-7", "0.5", "0", "2.0"])
 def test_tsv_sign_rejects_weights_other_than_sign(weight):
     text = f"a\tb\t+1\nb\tc\t{weight}\n"

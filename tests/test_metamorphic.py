@@ -7,15 +7,18 @@ so the parity of negative edges in each transitive triple, and the sign
 product of each projected triangle, stay the same; a reciprocal pair
 crosses the cut as a whole, so its sign mismatch stays too.  Relabelling
 node ids changes the id order, hence every index, the degree-rank ties and
-the chunking of the pass, but no figure.
+the chunking of the pass, but no figure.  Shuffling the records of a
+csv-rating input changes no figure under the sum and mean rules, and under
+last-record only the signs of the pairs whose last rating moved.
 """
 import json
 
 import numpy as np
 import pytest
 
-from triadbalance import SignedDigraph, scan_triads
-from triadbalance.cli import RunConfig, run
+from triadbalance import (PreprocessConfig, SignedDigraph, build_graph,
+                          load_edge_records, scan_triads)
+from triadbalance.cli import RunConfig, main, run
 
 
 def _hub_edges(n: int, out_degree: int, seed: int) -> dict:
@@ -117,3 +120,68 @@ def test_relabelling_changes_no_figure(tmp_path, hub_signs):
     rows = (line.split("\t") for line in now["graph"])
     assert sorted((back[u], back[v], s) for u, v, s in rows) == sorted(
         tuple(line.split("\t")) for line in was["graph"])
+
+
+def _rating_lines(seed: int) -> list[str]:
+    """csv-rating lines with one to four parallel records per ordered pair.
+
+    Ratings are integers in [-10, 10], so their float sums are exact in any
+    order; `1e16, -1e16, 1` sums to 1 but `1, 1e16, -1e16` to 0.
+    """
+    rng = np.random.default_rng(seed)
+    lines = []
+    for u in range(60):
+        for v in rng.choice(60, 6, replace=False).tolist():
+            if u != v:
+                lines += [f"n{u},n{v},{r}" for r in
+                          rng.integers(-10, 11, rng.integers(1, 5)).tolist()]
+    return lines
+
+
+def _shuffled(lines: list[str]) -> list[str]:
+    return [lines[i] for i in np.random.default_rng(22).permutation(len(lines))]
+
+
+@pytest.mark.parametrize("rule", ["sum", "mean"])
+def test_record_order_changes_no_report(tmp_path, rule):
+    lines = _rating_lines(21)
+    data = tmp_path / "net.csv"
+    files = {}
+    for label, order in (("given", lines), ("shuffled", _shuffled(lines))):
+        data.write_text("\n".join(order) + "\n", encoding="utf-8")
+        out = tmp_path / label
+        assert main(["analyze", "--input", str(data), "--format", "csv-rating",
+                     "--aggregate", rule, "--out", str(out)]) == 0
+        files[label] = {p.name: p.read_bytes() for p in out.iterdir()}
+    given, shuffled = files["given"], files["shuffled"]
+    manifests = [json.loads(f.pop("manifest.json")) for f in (given, shuffled)]
+    assert manifests[0]["input"].pop("sha256") != \
+        manifests[1]["input"].pop("sha256")
+    for manifest in manifests:
+        del manifest["created"]
+    assert manifests[0] == manifests[1]
+    assert sorted(given) == sorted(shuffled)
+    for name in given:
+        assert given[name] == shuffled[name], name
+
+
+def test_last_record_order_moves_only_pairs_whose_last_rating_moved():
+    lines = _rating_lines(21)
+
+    def signs(order):
+        graph = build_graph(
+            load_edge_records("\n".join(order).encode(), "csv-rating"),
+            PreprocessConfig(aggregate_rule="last-record"))
+        return {(u, v): s for u, v, s in graph.edge_items()}
+
+    def last(order):
+        return {(u, v): r for u, v, r in (line.split(",") for line in order)}
+
+    shuffled = _shuffled(lines)
+    was, now = signs(lines), signs(shuffled)
+    after = last(shuffled)
+    moved = {pair for pair, r in last(lines).items() if after[pair] != r}
+    assert any(was.get(pair) != now.get(pair) for pair in moved)
+    for pair in set(was) | set(now):
+        if pair not in moved:
+            assert was.get(pair) == now.get(pair), pair

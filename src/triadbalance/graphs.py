@@ -1,11 +1,14 @@
 """Signed digraph data model: ingestion, preprocessing, undirected projection.
 
-Every input format parses into id and weight columns (`EdgeColumns`, in
-input order), which `build_graph` aggregates and thresholds into signs.
-The input is read once, as one string, whatever the kind of source; a
-regular tsv-sign text is split into its columns in one pass, and every
-other text goes through a per-line loop that splits lines at LF, CR and
-CRLF alike for paths, bytes and streams.
+Every input format parses into `EdgeColumns`: the sorted distinct node ids,
+and per record (in input order) the positions of its source and target
+among them and its weight.  `build_graph` aggregates and thresholds those
+into signs.  The input is read once, as one string, whatever the kind of
+source.  A regular tsv-sign text is split into its columns in one pass,
+and its ids are interned on their UTF-8 bytes, so only the distinct ids
+become strings.  Every other text goes through a per-line loop that splits
+lines at LF, CR and CRLF alike for paths, bytes and streams, and interns
+its id strings in Python.
 Node ids are opaque strings everywhere at the API surface.  Internally each
 graph maps its ids to dense integer indices (sorted id order) and stores its
 edges once, as read-only source, target and sign arrays sorted by index
@@ -16,7 +19,6 @@ are built from the arrays when needed.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import operator
 import os
@@ -34,12 +36,31 @@ KEEP_COMPONENTS = ("giant", "all")
 
 
 class EdgeColumns(NamedTuple):
-    """Raw scored edges as read from a dataset, before sign collapsing: one
-    entry per record in each column, in input order."""
+    """Raw scored edges as read from a dataset, before sign collapsing.
 
-    sources: list[str]
-    targets: list[str]
+    `ids` holds the distinct node ids, strictly increasing in Python's str
+    order.  The other columns hold one entry per record, in input order:
+    the positions in `ids` of its source and target, and its weight.
+    """
+
+    ids: list[str]
+    sources: np.ndarray  # int64
+    targets: np.ndarray  # int64
     weights: np.ndarray  # float64
+
+    @classmethod
+    def from_records(cls, sources: list[str], targets: list[str],
+                     weights) -> "EdgeColumns":
+        """The columns of records given as one source and one target id
+        string each."""
+        # Python's str order: numpy's unicode dtype would merge "a" and "a\x00"
+        ids = sorted(set(sources).union(targets))
+        position = dict(zip(ids, range(len(ids))))
+        m = len(sources)
+        return cls(ids, np.fromiter(map(position.__getitem__, sources),
+                                    np.int64, m),
+                   np.fromiter(map(position.__getitem__, targets), np.int64, m),
+                   np.asarray(weights, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -237,7 +258,6 @@ def skeleton_csr(n_nodes: int, src: np.ndarray,
 #: the bytes a regular tsv-sign text may hold: TAB, LF and every byte above
 #: space but '#', which leaves out CR and the other ASCII whitespace
 _REGULAR_BYTES = bytes([9, 10, *range(33, 35), *range(36, 256)])
-_SIGN_WEIGHT = {"1": 1.0, "+1": 1.0, "-1": -1.0}
 
 
 def _read_text(source) -> str:
@@ -257,7 +277,8 @@ def _read_text(source) -> str:
 
 def load_edge_records(source, fmt: str) -> EdgeColumns:
     """Parse raw edge records from a path, bytes, or a binary or text stream
-    into id and weight columns, in input order.
+    into `EdgeColumns`: the sorted distinct ids, and the source and target
+    positions among them and the weight of each record, in input order.
 
     Formats:
         csv-rating:    source,target,rating[,timestamp]
@@ -266,9 +287,9 @@ def load_edge_records(source, fmt: str) -> EdgeColumns:
                        rows are senders; zero cells produce no record
 
     The input is read once into one string.  A regular tsv-sign text is
-    split in one pass over it (`_split_regular`); every other text goes
-    through the per-line parsers, which split lines at LF, CR and CRLF
-    whatever the kind of source.
+    split in one pass over its UTF-8 bytes, which also interns its ids
+    (`_split_regular`); every other text goes through the per-line parsers,
+    which split lines at LF, CR and CRLF whatever the kind of source.
     """
     if fmt not in INPUT_FORMATS:
         raise FormatError(f"unknown input format {fmt!r}")
@@ -301,7 +322,9 @@ def _split_regular(text: str) -> EdgeColumns | None:
     line may lack it), no id is empty, every sign is literally 1, +1 or -1,
     and no character is CR, '#' or whitespace other than TAB and LF.  The
     per-line loop skips, strips and rejects nothing in such a text, so its
-    columns are the fields in order.
+    columns are the fields in order.  The ids are interned on the UTF-8
+    bytes (`_intern_fields`); a text whose long ids would make that take
+    more than linear memory is left to the loop as well.
     """
     data = text.encode("utf-8", "surrogatepass")
     if not data or data.translate(None, _REGULAR_BYTES):
@@ -309,24 +332,94 @@ def _split_regular(text: str) -> EdgeColumns | None:
     # str.strip also removes non-ASCII whitespace
     if not text.isascii() and re.search(r"[^\S\t\n]", text):
         return None
-    raw = np.frombuffer(data if data.endswith(b"\n") else data + b"\n",
+    # a final LF, then 8 zero bytes, so a word read at any field start stays
+    # inside the buffer
+    raw = np.frombuffer(data + b"\n" * (not data.endswith(b"\n")) + bytes(8),
                         dtype=np.uint8)
     # TAB and LF bytes, which never sit inside a multi-byte UTF-8 character:
     # each line must hold TAB TAB LF with a non-empty field before each
-    cuts = np.flatnonzero(raw < 11)
+    cuts = np.flatnonzero(raw[:-8] < 11)
     if (len(cuts) % 3
             or np.any(raw[cuts].reshape(-1, 3) != (9, 9, 10))
             or np.any(np.diff(cuts, prepend=-1) < 2)):
         return None
-    stop = len(cuts)  # a final LF leaves one empty field after the last line
-    fields = text.replace("\n", "\t").split("\t")
-    try:
-        weights = np.fromiter(map(_SIGN_WEIGHT.__getitem__,
-                                  itertools.islice(fields, 2, stop, 3)),
-                              np.float64, stop // 3)
-    except KeyError:
+    tab1, tab2, end = cuts.reshape(-1, 3).T
+    # the sign is '1' after nothing, '+' or '-'
+    wide, lead = end - tab2 > 2, raw[tab2 + 1]
+    if (np.any(end - tab2 > 3) or np.any(raw[end - 1] != ord("1"))
+            or np.any(wide & (lead != ord("+")) & (lead != ord("-")))):
         return None
-    return EdgeColumns(fields[0:stop:3], fields[1:stop:3], weights)
+    first = np.concatenate([[0], end[:-1] + 1])
+    interned = _intern_fields(raw, np.concatenate([first, tab1 + 1]),
+                              np.concatenate([tab1 - first, tab2 - tab1 - 1]))
+    if interned is None:
+        return None
+    ids, positions = interned
+    sources, targets = np.split(positions, 2)
+    return EdgeColumns(ids, sources, targets,
+                       np.where(wide & (lead == ord("-")), -1.0, 1.0))
+
+
+#: _KEEP[k] keeps the first k bytes of a big-endian 8-byte word
+_KEEP = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)],
+                 dtype=np.uint64)
+
+
+def _intern_fields(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+                   ) -> tuple[list[str], np.ndarray] | None:
+    """The distinct fields of the UTF-8 bytes `raw`, decoded and sorted, and
+    the position of each field among them; None when the fields longer than
+    8 bytes would need a word table over 4 times the size of `raw`.
+
+    Every field is followed by a TAB, and `raw` ends in 8 zero bytes.  A
+    field is read as big-endian 8-byte words from its start, with the bytes
+    past its end zeroed.  No field holds a zero byte, so the words compare as
+    the bytes do, and UTF-8 byte order is the str order of the decoding.
+    """
+    windows = np.ndarray((len(raw) - 7,), ">u8", raw, strides=(1,))
+
+    def word(j: int, at: np.ndarray, size: np.ndarray) -> np.ndarray:
+        # (take would copy the overlapping windows first; past a field's end
+        # the word is masked out, so its start is only kept in bounds)
+        bits = _KEEP[np.clip(size - 8 * j, 0, 8)]
+        bits &= windows[np.minimum(at + 8 * j, len(windows) - 1)]
+        return bits
+
+    keys = [word(0, starts, lengths)]
+    long = np.flatnonzero(lengths > 8)
+    if len(long):
+        # a long field sorts after an 8-byte field equal to its first word,
+        # and among the long fields of that word by its rank on all its words
+        width = -(-int(lengths[long].max()) // 8)
+        if 8 * width * len(long) > 4 * len(raw):
+            return None
+        rest = _distinct([word(j, starts[long], lengths[long])
+                          for j in range(width)])[1]
+        tie = np.zeros(len(starts), dtype=np.int64)
+        tie[long] = rest + 1
+        keys.append(tie)
+    first, positions = _distinct(keys)
+    # one 'field TAB' per distinct field, decoded at once
+    at, size = starts[first], lengths[first] + 1
+    ends = np.cumsum(size)
+    picked = raw[np.arange(ends[-1]) + np.repeat(at - ends + size, size)]
+    ids = picked.tobytes().decode("utf-8", "surrogatepass").split("\t")
+    return ids[:-1], positions
+
+
+def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows given as key columns, the most significant first: the index of
+    one row of each distinct value, in increasing order of value, and the
+    rank of each row's value among them."""
+    # np.unique's inverse costs a stable sort; any row of a value will do
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    change = np.zeros(len(order), dtype=bool)
+    for key in keys:
+        change[1:] |= np.diff(key[order]) != 0
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.cumsum(change)
+    change[:1] = True
+    return order[change], rank
 
 
 def _parse_lines(lines: Iterable[str], fmt: str) -> EdgeColumns:
@@ -363,7 +456,7 @@ def _parse_lines(lines: Iterable[str], fmt: str) -> EdgeColumns:
         sources.append(source)
         targets.append(target)
         weights.append(weight)
-    return EdgeColumns(sources, targets, np.array(weights, dtype=np.float64))
+    return EdgeColumns.from_records(sources, targets, weights)
 
 
 def _parse_matrix(lines: Iterable[str]) -> EdgeColumns:
@@ -387,9 +480,9 @@ def _parse_matrix(lines: Iterable[str]) -> EdgeColumns:
     matrix = np.array(rows, dtype=np.float64).reshape(n, n)
     # row-major: records come in input order, row by row
     senders, receivers = np.nonzero(matrix)
-    return EdgeColumns(list(map(str, senders.tolist())),
-                       list(map(str, receivers.tolist())),
-                       matrix[senders, receivers])
+    return EdgeColumns.from_records(list(map(str, senders.tolist())),
+                                    list(map(str, receivers.tolist())),
+                                    matrix[senders, receivers])
 
 
 # -- build + preprocess --------------------------------------------------------
@@ -399,21 +492,28 @@ def build_graph(columns: EdgeColumns,
                 config: PreprocessConfig | None = None) -> SignedDigraph:
     """Collapse raw edge columns into a signed digraph.
 
-    Parallel records for one ordered pair are aggregated by the configured
+    The columns' positions index its ids, which must be strictly increasing;
+    columns that break this raise ValueError.  Parallel records for one
+    ordered pair (one pair of positions) are aggregated by the configured
     rule; the aggregate is compared against the sign threshold (above -> +1,
     below -> -1, exactly at it -> edge dropped).  Self-loops are dropped.
     Only nodes with a surviving edge are kept.
     """
     config = config or PreprocessConfig()
-    sources, targets, weights = columns
-    # Python's str order: numpy's unicode dtype would merge "a" and "a\x00"
-    names = sorted(set(sources).union(targets))
-    position = dict(zip(names, range(len(names))))
-    n, m = len(names), len(sources)
-    src = np.fromiter(map(position.__getitem__, sources), np.int64, m)
-    dst = np.fromiter(map(position.__getitem__, targets), np.int64, m)
+    names, sources, targets, weights = columns
+    n = len(names)
+    src, dst = np.asarray(sources, np.int64), np.asarray(targets, np.int64)
+    weight = np.asarray(weights, np.float64)
+    if not len(src) == len(dst) == len(weight):
+        raise ValueError(f"columns of different lengths: {len(src)} sources, "
+                         f"{len(dst)} targets, {len(weight)} weights")
+    if not all(map(operator.lt, names, names[1:])):
+        raise ValueError("ids are not strictly increasing")
+    if len(src) and (min(src.min(), dst.min()) < 0
+                     or max(src.max(), dst.max()) >= n):
+        raise ValueError(f"a position outside the {n} ids")
     loop = src == dst
-    pair, weight = (src * n + dst)[~loop], np.asarray(weights, np.float64)[~loop]
+    pair, weight = (src * n + dst)[~loop], weight[~loop]
     if config.aggregate_rule == "last-record":
         # by input order: the first of each pair in reversed order
         pairs, last = np.unique(pair[::-1], return_index=True)
@@ -560,8 +660,8 @@ def dump_tsv(graph: SignedDigraph, target) -> None:
     heads = np.array([u + "\t" for u in ids], dtype=object)
     tails = np.array([v + "\t+1\n" for v in ids] + [v + "\t-1\n" for v in ids],
                      dtype=object)
-    text = "".join(map(operator.add, heads[graph.src],
-                       tails[graph.dst + n * (graph.sgn < 0)]))
+    text = "".join((heads[graph.src]
+                    + tails[graph.dst + n * (graph.sgn < 0)]).tolist())
     own = isinstance(target, (str, os.PathLike))
     fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
     try:

@@ -1,5 +1,6 @@
 import io
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,15 @@ from triadbalance.oracle import random_signed_digraph
 
 
 def _lists(columns):
-    """The columns as plain lists, after checking the weights' dtype."""
+    """The records as plain (source ids, target ids, weights) lists, after
+    checking the dtypes and that the ids are sorted and distinct."""
+    ids = columns.ids
+    assert all(a < b for a, b in zip(ids, ids[1:])), ids
+    assert columns.sources.dtype == columns.targets.dtype == np.int64
     assert columns.weights.dtype == np.float64
-    return columns.sources, columns.targets, columns.weights.tolist()
+    return ([ids[i] for i in columns.sources.tolist()],
+            [ids[i] for i in columns.targets.tolist()],
+            columns.weights.tolist())
 
 
 def test_csv_rating_line():
@@ -79,7 +86,7 @@ def test_byte_order_mark_is_not_part_of_an_id(wrap):
     data = "a,b,1\nb,a,-1\n".encode("utf-8")
     cols = load_edge_records(wrap(b"\xef\xbb\xbf" + data), "csv-rating")
     assert _lists(cols) == _lists(load_edge_records(wrap(data), "csv-rating"))
-    assert cols.sources == ["a", "b"]
+    assert _lists(cols)[0] == ["a", "b"]
 
 
 @pytest.mark.parametrize("newline", ["\r", "\r\n"])
@@ -114,8 +121,15 @@ def test_tsv_sign_rejects_weights_other_than_sign(weight):
 
 
 # ids and signs share spellings, so a line with a field too many or too few
-# shifts later fields into places where they still read as ids and signs
-_IDS = ["1", "-1", "+1", "2", "10", "a", "\u00e9", "n\u2603", "\ufeffb"]
+# shifts later fields into places where they still read as ids and signs.
+# The split interns ids as big-endian 8-byte words, so the ids also hold 7-9,
+# 16 and 17 bytes, prefix chains, multi-byte characters (some cut by a word
+# end) and pairs equal in their first 8 or 16 bytes
+_IDS = ["1", "-1", "+1", "2", "9", "10", "100", "a", "\u00e9", "n\u2603",
+        "\ufeffb", "\u4e2d", "\U0001f600", "abcdefg", "abcdefgh",
+        "abcdefghi", "abcdefgh0", "abcdefg\u00e9", "\u4e2d\u4e2d\u4e2d",
+        "abcdefgh\U0001f600", "abcdefghijklmnop", "abcdefghijklmnopq",
+        "abcdefghijklmnop0", "abcdefghijklmno\u00e9"]
 _SIGNS = ["1", "+1", "-1"]
 _SHIFTING_LINES = ["a\tb", "1\t-1", "1", "a\tb\t1\t1", "a\tb\t-1\t+1",
                    "1\t1\t1\t1\t1"]
@@ -216,6 +230,38 @@ def test_line_loop_splits_lines_as_io_does(fmt):
         assert _outcome(lambda: load_edge_records(text.encode(), fmt)) == want
 
 
+def _long_id_text(lines):
+    """A regular tsv-sign text of `lines` lines on ids of 1-17 bytes."""
+    ids = [str(i).rjust(1 + i % 17, "x") for i in range(5000)]
+    return "".join(f"{ids[i % 5000]}\t{ids[i * 7 % 4999]}\t{'+-'[i % 2]}1\n"
+                   for i in range(lines))
+
+
+def test_regular_text_with_a_very_long_id_goes_to_the_loop():
+    # one 4000-byte id would take 500 words of every id longer than 8 bytes
+    text = _long_id_text(1000) + "y" * 4000 + "\tx1\t-1\n"
+    assert _split_regular(text) is None
+    loop = _parse_lines(io.StringIO(text, newline=""), "tsv-sign")
+    assert _lists(load_edge_records(text.encode(), "tsv-sign")) == _lists(loop)
+    assert _split_regular(_long_id_text(1000)) is not None
+
+
+@pytest.mark.parametrize("tail", ["", "y" * 4000 + "\tx1\t-1\n"],
+                         ids=["split", "loop"])
+def test_ingest_memory_is_linear_in_the_text(tail):
+    data = (_long_id_text(50_000) + tail).encode()
+    load_edge_records(data, "tsv-sign")
+    tracemalloc.start()
+    try:
+        load_edge_records(data, "tsv-sign")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 10x for either path; a word table as wide as the longest id
+    # would be hundreds of times the text
+    assert peak < 16 * len(data)
+
+
 def test_regular_split_hands_over_on_any_whitespace():
     spaces = [c for c in map(chr, range(0x3001)) if c.isspace()]
     for c in spaces:
@@ -256,8 +302,7 @@ def _index_sets(graph):
 def _rec(*records):
     """EdgeColumns holding the (source, target, weight) records in order."""
     sources, targets, weights = zip(*records) if records else ((), (), ())
-    return EdgeColumns(list(sources), list(targets),
-                       np.array(weights, dtype=np.float64))
+    return EdgeColumns.from_records(list(sources), list(targets), weights)
 
 
 def test_sum_then_sign_aggregation():
@@ -306,12 +351,34 @@ def test_zero_sign_rejected():
         SignedDigraph([("a", "b", 0)])
 
 
+def test_build_graph_rejects_ids_out_of_order():
+    for ids in (["b", "a"], ["a", "a"]):
+        columns = EdgeColumns(ids, np.array([0]), np.array([1]),
+                              np.array([1.0]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build_graph(columns)
+
+
+def test_build_graph_rejects_columns_of_different_lengths():
+    columns = EdgeColumns(["a", "b"], np.array([0, 1]), np.array([1]),
+                          np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="different lengths"):
+        build_graph(columns)
+
+
+@pytest.mark.parametrize("position", [-1, 2])
+def test_build_graph_rejects_a_position_outside_the_ids(position):
+    columns = EdgeColumns(["a", "b"], np.array([0, 1]),
+                          np.array([1, position]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="outside the 2 ids"):
+        build_graph(columns)
+
+
 def _reference_build_graph(records, config):
     """Parallel records bucketed by their pair of id strings, aggregated and
     thresholded one pair at a time."""
     buckets = {}
-    for source, target, weight in zip(records.sources, records.targets,
-                                      records.weights.tolist()):
+    for source, target, weight in zip(*_lists(records)):
         if source != target:
             buckets.setdefault((source, target), []).append(weight)
     edges = []

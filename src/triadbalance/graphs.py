@@ -4,11 +4,11 @@ Every input format parses into `EdgeColumns`: the sorted distinct node ids,
 and per record (in input order) the positions of its source and target
 among them and its weight.  `build_graph` aggregates and thresholds those
 into signs.  The input is read once, as one string, whatever the kind of
-source.  A regular tsv-sign text is split into its columns in one pass,
-and its ids are interned on their UTF-8 bytes, so only the distinct ids
-become strings.  Every other text goes through a per-line loop that splits
-lines at LF, CR and CRLF alike for paths, bytes and streams, and interns
-its id strings in Python.
+source.  A regular tsv-sign text is split into its columns in one pass;
+when every id fits in 8 bytes, its ids are interned on their UTF-8 bytes,
+so only the distinct ids become strings.  Every other text goes through a
+per-line loop that splits lines at LF, CR and CRLF alike for paths, bytes
+and streams, and interns its id strings in Python.
 Node ids are opaque strings everywhere at the API surface.  Internally each
 graph maps its ids to dense integer indices (sorted id order) and stores its
 edges once, as read-only source, target and sign arrays sorted by index
@@ -287,9 +287,10 @@ def load_edge_records(source, fmt: str) -> EdgeColumns:
                        rows are senders; zero cells produce no record
 
     The input is read once into one string.  A regular tsv-sign text is
-    split in one pass over its UTF-8 bytes, which also interns its ids
-    (`_split_regular`); every other text goes through the per-line parsers,
-    which split lines at LF, CR and CRLF whatever the kind of source.
+    split in one pass over its UTF-8 bytes, which also interns ids of up to
+    8 bytes (`_split_regular`); every other text goes through the per-line
+    parsers, which split lines at LF, CR and CRLF whatever the kind of
+    source.
     """
     if fmt not in INPUT_FORMATS:
         raise FormatError(f"unknown input format {fmt!r}")
@@ -322,9 +323,9 @@ def _split_regular(text: str) -> EdgeColumns | None:
     line may lack it), no id is empty, every sign is literally 1, +1 or -1,
     and no character is CR, '#' or whitespace other than TAB and LF.  The
     per-line loop skips, strips and rejects nothing in such a text, so its
-    columns are the fields in order.  The ids are interned on the UTF-8
-    bytes (`_intern_fields`); a text whose long ids would make that take
-    more than linear memory is left to the loop as well.
+    columns are the fields in order.  When every id fits in 8 bytes, the
+    ids are interned on their UTF-8 bytes (`_intern_fields`); otherwise as
+    strings, as the loop does.
     """
     data = text.encode("utf-8", "surrogatepass")
     if not data or data.translate(None, _REGULAR_BYTES):
@@ -336,6 +337,26 @@ def _split_regular(text: str) -> EdgeColumns | None:
     # inside the buffer
     raw = np.frombuffer(data + b"\n" * (not data.endswith(b"\n")) + bytes(8),
                         dtype=np.uint8)
+    split = _regular_fields(raw)
+    if split is None:
+        return None
+    starts, lengths, weights = split
+    if lengths.max() > 8:
+        # a final LF leaves one empty field after the last line
+        fields, stop = text.replace("\n", "\t").split("\t"), 3 * len(weights)
+        return EdgeColumns.from_records(fields[0:stop:3], fields[1:stop:3],
+                                        weights)
+    ids, positions = _intern_fields(raw, starts, lengths)
+    sources, targets = np.split(positions, 2)
+    return EdgeColumns(ids, sources, targets, weights)
+
+
+def _regular_fields(raw: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The id fields of the tsv-sign bytes `raw` (which end in LF and 8 zero
+    bytes), every line's source and then every line's target, as their
+    starts and lengths, and the weight of each line; None unless every line
+    is 'id TAB id TAB sign' LF with non-empty ids and a sign 1, +1 or -1."""
     # TAB and LF bytes, which never sit inside a multi-byte UTF-8 character:
     # each line must hold TAB TAB LF with a non-empty field before each
     cuts = np.flatnonzero(raw[:-8] < 11)
@@ -350,14 +371,9 @@ def _split_regular(text: str) -> EdgeColumns | None:
             or np.any(wide & (lead != ord("+")) & (lead != ord("-")))):
         return None
     first = np.concatenate([[0], end[:-1] + 1])
-    interned = _intern_fields(raw, np.concatenate([first, tab1 + 1]),
-                              np.concatenate([tab1 - first, tab2 - tab1 - 1]))
-    if interned is None:
-        return None
-    ids, positions = interned
-    sources, targets = np.split(positions, 2)
-    return EdgeColumns(ids, sources, targets,
-                       np.where(wide & (lead == ord("-")), -1.0, 1.0))
+    return (np.concatenate([first, tab1 + 1]),
+            np.concatenate([tab1 - first, tab2 - tab1 - 1]),
+            np.where(wide & (lead == ord("-")), -1.0, 1.0))
 
 
 #: _KEEP[k] keeps the first k bytes of a big-endian 8-byte word
@@ -366,60 +382,22 @@ _KEEP = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)],
 
 
 def _intern_fields(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-                   ) -> tuple[list[str], np.ndarray] | None:
-    """The distinct fields of the UTF-8 bytes `raw`, decoded and sorted, and
-    the position of each field among them; None when the fields longer than
-    8 bytes would need a word table over 4 times the size of `raw`.
+                   ) -> tuple[list[str], np.ndarray]:
+    """The distinct fields of the UTF-8 bytes `raw`, none over 8 bytes long,
+    decoded and sorted, and the position of each field among them.
 
-    Every field is followed by a TAB, and `raw` ends in 8 zero bytes.  A
-    field is read as big-endian 8-byte words from its start, with the bytes
-    past its end zeroed.  No field holds a zero byte, so the words compare as
-    the bytes do, and UTF-8 byte order is the str order of the decoding.
+    `raw` ends in 8 zero bytes.  A field is read as a big-endian word from
+    its start, with the bytes past its end zeroed.  No field holds a zero
+    byte, so the words compare as the bytes do, UTF-8 byte order is the str
+    order of the decoding, and a word's bytes up to its first zero byte are
+    the field.
     """
     windows = np.ndarray((len(raw) - 7,), ">u8", raw, strides=(1,))
-
-    def word(j: int, at: np.ndarray, size: np.ndarray) -> np.ndarray:
-        # (take would copy the overlapping windows first; past a field's end
-        # the word is masked out, so its start is only kept in bounds)
-        bits = _KEEP[np.clip(size - 8 * j, 0, 8)]
-        bits &= windows[np.minimum(at + 8 * j, len(windows) - 1)]
-        return bits
-
-    keys = [word(0, starts, lengths)]
-    long = np.flatnonzero(lengths > 8)
-    if len(long):
-        # a long field sorts after an 8-byte field equal to its first word,
-        # and among the long fields of that word by its rank on all its words
-        width = -(-int(lengths[long].max()) // 8)
-        if 8 * width * len(long) > 4 * len(raw):
-            return None
-        rest = _distinct([word(j, starts[long], lengths[long])
-                          for j in range(width)])[1]
-        tie = np.zeros(len(starts), dtype=np.int64)
-        tie[long] = rest + 1
-        keys.append(tie)
-    first, positions = _distinct(keys)
-    # one 'field TAB' per distinct field, decoded at once
-    at, size = starts[first], lengths[first] + 1
-    ends = np.cumsum(size)
-    picked = raw[np.arange(ends[-1]) + np.repeat(at - ends + size, size)]
-    ids = picked.tobytes().decode("utf-8", "surrogatepass").split("\t")
-    return ids[:-1], positions
-
-
-def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Rows given as key columns, the most significant first: the index of
-    one row of each distinct value, in increasing order of value, and the
-    rank of each row's value among them."""
-    # np.unique's inverse costs a stable sort; any row of a value will do
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
-    change = np.zeros(len(order), dtype=bool)
-    for key in keys:
-        change[1:] |= np.diff(key[order]) != 0
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.cumsum(change)
-    change[:1] = True
-    return order[change], rank
+    words, positions = np.unique(_KEEP[lengths] & windows[starts],
+                                 return_inverse=True)
+    # an S8 item drops the zero bytes that end it
+    text = b"\t".join(words.astype(">u8").view("S8").tolist())
+    return text.decode("utf-8", "surrogatepass").split("\t"), positions
 
 
 def _parse_lines(lines: Iterable[str], fmt: str) -> EdgeColumns:

@@ -122,14 +122,16 @@ def test_tsv_sign_rejects_weights_other_than_sign(weight):
 
 # ids and signs share spellings, so a line with a field too many or too few
 # shifts later fields into places where they still read as ids and signs.
-# The split interns ids as big-endian 8-byte words, so the ids also hold 7-9,
-# 16 and 17 bytes, prefix chains, multi-byte characters (some cut by a word
-# end) and pairs equal in their first 8 or 16 bytes
+# The split interns ids of up to 8 bytes as big-endian words, and longer ids
+# as strings, so the ids also hold 7-9, 16 and 17 bytes, prefix chains,
+# multi-byte characters (some cut by a word end) and pairs equal in their
+# first 8 or 16 bytes
 _IDS = ["1", "-1", "+1", "2", "9", "10", "100", "a", "\u00e9", "n\u2603",
         "\ufeffb", "\u4e2d", "\U0001f600", "abcdefg", "abcdefgh",
         "abcdefghi", "abcdefgh0", "abcdefg\u00e9", "\u4e2d\u4e2d\u4e2d",
         "abcdefgh\U0001f600", "abcdefghijklmnop", "abcdefghijklmnopq",
         "abcdefghijklmnop0", "abcdefghijklmno\u00e9"]
+_SHORT_IDS = [i for i in _IDS if len(i.encode()) <= 8]
 _SIGNS = ["1", "+1", "-1"]
 _SHIFTING_LINES = ["a\tb", "1\t-1", "1", "a\tb\t1\t1", "a\tb\t-1\t+1",
                    "1\t1\t1\t1\t1"]
@@ -142,14 +144,14 @@ _IRREGULAR_LINES = _SHIFTING_LINES + [
 ]
 
 
-def _random_tsv(rng, odd_lines, odd_ends):
-    """A tsv-sign text of 0-12 lines: regular lines mixed with lines drawn
-    from `odd_lines`, each ending in LF or, if `odd_ends`, sometimes in CR or
-    CRLF; the final LF may be missing."""
+def _random_tsv(rng, odd_lines, odd_ends, ids=_IDS):
+    """A tsv-sign text of 0-12 lines: regular lines on `ids` mixed with lines
+    drawn from `odd_lines`, each ending in LF or, if `odd_ends`, sometimes in
+    CR or CRLF; the final LF may be missing."""
     lines, ends = [], []
     for _ in range(int(rng.integers(0, 13))):
         if not odd_lines or rng.random() < 0.7:
-            lines.append("\t".join([*rng.choice(_IDS, 2), rng.choice(_SIGNS)]))
+            lines.append("\t".join([*rng.choice(ids, 2), rng.choice(_SIGNS)]))
         else:
             lines.append(str(rng.choice(odd_lines)))
         ends.append(str(rng.choice(["\r", "\r\n"]))
@@ -169,10 +171,12 @@ def _outcome(parse):
 
 def test_regular_split_equals_the_line_loop():
     rng = np.random.default_rng(20240)
-    kinds = [([], False), (_SHIFTING_LINES, False), (_IRREGULAR_LINES, True)]
-    for trial in range(600):
-        odd_lines, odd_ends = kinds[trial % 3]
-        text = _random_tsv(rng, odd_lines, odd_ends)
+    # regular texts on ids of up to 8 bytes take the word path
+    kinds = [([], False, _SHORT_IDS), ([], False, _IDS),
+             (_SHIFTING_LINES, False, _IDS), (_IRREGULAR_LINES, True, _IDS)]
+    for trial in range(800):
+        odd_lines, odd_ends, ids = kinds[trial % 4]
+        text = _random_tsv(rng, odd_lines, odd_ends, ids)
         data = (b"\xef\xbb\xbf" if rng.random() < 0.2 else b"") + text.encode()
         # utf-8-sig drops one leading U+FEFF, whether added here or drawn
         text = data.decode("utf-8-sig")
@@ -237,19 +241,30 @@ def _long_id_text(lines):
                    for i in range(lines))
 
 
-def test_regular_text_with_a_very_long_id_goes_to_the_loop():
-    # one 4000-byte id would take 500 words of every id longer than 8 bytes
+def test_regular_text_with_a_very_long_id_stays_on_the_split():
+    # ids over 8 bytes are interned as strings, so one 4000-byte id costs no
+    # more than its own bytes
     text = _long_id_text(1000) + "y" * 4000 + "\tx1\t-1\n"
-    assert _split_regular(text) is None
+    split = _split_regular(text)
+    assert split is not None
     loop = _parse_lines(io.StringIO(text, newline=""), "tsv-sign")
-    assert _lists(load_edge_records(text.encode(), "tsv-sign")) == _lists(loop)
-    assert _split_regular(_long_id_text(1000)) is not None
+    assert _lists(split) == _lists(loop)
 
 
-@pytest.mark.parametrize("tail", ["", "y" * 4000 + "\tx1\t-1\n"],
-                         ids=["split", "loop"])
-def test_ingest_memory_is_linear_in_the_text(tail):
-    data = (_long_id_text(50_000) + tail).encode()
+_MEMORY_TEXTS = {
+    "ids-of-1-17-bytes-and-one-of-4000": lambda: (
+        _long_id_text(50_000) + "y" * 4000 + "\tx1\t-1\n"),
+    "ids-of-1-byte": lambda: "".join(f"{i % 7}\t{i * 3 % 11}\t1\n"
+                                     for i in range(50_000)),
+    "all-ids-distinct": lambda: "".join(f"u{i}\tv{i}\t-1\n"
+                                        for i in range(50_000)),
+}
+
+
+@pytest.mark.parametrize("kind", _MEMORY_TEXTS)
+def test_ingest_memory_is_linear_in_the_text(kind):
+    data = _MEMORY_TEXTS[kind]().encode()
+    assert _split_regular(data.decode()) is not None
     load_edge_records(data, "tsv-sign")
     tracemalloc.start()
     try:
@@ -257,9 +272,10 @@ def test_ingest_memory_is_linear_in_the_text(tail):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 10x for either path; a word table as wide as the longest id
-    # would be hundreds of times the text
-    assert peak < 16 * len(data)
+    # measured 12x, 26x and 27x: a few int64 arrays per field, which is most
+    # for 6-byte lines; a word table as wide as the longest id would be
+    # hundreds of times the first text
+    assert peak < 32 * len(data)
 
 
 def test_regular_split_hands_over_on_any_whitespace():

@@ -272,9 +272,9 @@ def test_ingest_memory_is_linear_in_the_text(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # measured 12x, 26x and 27x: a few int64 arrays per field, which is most
-    # for 6-byte lines; a word table as wide as the longest id would be
-    # hundreds of times the first text
+    # measured 14x, 26x and 24x: the word path holds a few int64 arrays per
+    # field, which is most for lines of 6 bytes; a word table as wide as the
+    # longest id would be hundreds of times the first text
     assert peak < 32 * len(data)
 
 

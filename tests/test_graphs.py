@@ -273,8 +273,8 @@ def test_ingest_memory_is_linear_in_the_text(kind):
     finally:
         tracemalloc.stop()
     # measured 14x, 26x and 24x: the word path holds a few int64 arrays per
-    # field, which is most for lines of 6 bytes; a word table as wide as the
-    # longest id would be hundreds of times the first text
+    # field, which is most for lines of 6 bytes; a cost that grew with the
+    # longest id would break the bound on the first text
     assert peak < 32 * len(data)
 
 

@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -96,28 +96,18 @@ def compare_report(graph: SignedDigraph,
     figures, plus the projection's cancellation and inflation artefacts."""
     if tallies is None:
         tallies = scan_triads(graph)
-    report = balance.build_report(graph, True, tallies)
-    und = report.undirected
+    doc = balance.build_report(graph, True, tallies).to_json_dict()
     # projected triangles are the digraph's triangles without a cancelled
     # pair; those of a non-transitive class are inflation by the projection
     undirected_only = [list(tri) for tri in tallies.undirected_only]
     cancelled = [list(p) for p in tallies.cancelled]
     return {
         "directed_partial": {
-            "ratio": report.overall_type_mean,
-            "classification_counts": report.classification_counts,
+            "ratio": doc["overall_type_mean"],
+            "classification_counts": doc["classification_counts"],
         },
-        "directed_nonpartial": {
-            "ratio": report.nonpartial[0],
-            "balanced": report.nonpartial[1],
-            "imbalanced": report.nonpartial[2],
-        },
-        "undirected": {
-            "triangles": und[0],
-            "balanced": und[1],
-            "imbalanced": und[2],
-            "ratio": und[3],
-        },
+        "directed_nonpartial": doc["nonpartial"],
+        "undirected": doc["undirected"],
         "cancelled_edges": cancelled,
         "undirected_only_triangles": undirected_only,
         "identical_realizations": not cancelled and not undirected_only,
@@ -153,9 +143,7 @@ def _reports(config: RunConfig, graph: SignedDigraph) -> dict[str, object]:
     if "census" in analyses:
         table = census(graph, tallies)
         docs["census"] = (
-            {"n_nodes": table.n_nodes,
-             "include_disconnected": table.include_disconnected,
-             "counts": table.counts},
+            asdict(table),
             [["triad_type", "count"]] + [list(r) for r in table.to_csv_rows()])
 
     if "balance" in analyses:
@@ -172,15 +160,15 @@ def _reports(config: RunConfig, graph: SignedDigraph) -> dict[str, object]:
         und_table = signstats.composition_undirected(graph, tallies)
         name = Path(config.input_path).stem
         docs["composition"] = (
-            {"network": name,
-             "directed": table.to_json_dict(),
-             "undirected": und_table.to_json_dict()},
+            {"network": name, "directed": asdict(table),
+             "undirected": asdict(und_table)},
             [["network", "basis", "ppp", "pnn", "ppn", "nnn", "total"],
              table.to_csv_row(name), und_table.to_csv_row(name)])
 
     if "metrics" in analyses:
         measured = signstats.metrics(graph, tallies)
-        docs["metrics"] = (measured.to_json_dict(), measured.to_csv_rows())
+        docs["metrics"] = (asdict(measured) | {"basis": signstats.METRIC_BASIS},
+                           measured.to_csv_rows())
 
     if "undirected-compare" in analyses:
         doc = compare_report(graph, tallies)
@@ -199,7 +187,9 @@ def run(config: RunConfig) -> int:
     """Execute the selected analyses and write one report file per analysis.
 
     Every report is computed before the first file is written, so a run
-    that fails leaves no report directory behind it.
+    that fails on its input or its figures leaves no report directory
+    behind it.  A failed write, such as a directory in a report's place,
+    exits 2 and keeps the files written before it.
     """
     try:
         config.validate()
@@ -227,17 +217,6 @@ def run(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_TRIADS
 
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _input_error(f"cannot create output directory {out_dir}: {exc}")
-    dump_tsv(pre, out_dir / "graph.tsv")
-    for name, payload in reports.items():
-        if name.endswith(".json"):
-            _write_json(out_dir / name, payload)
-        else:
-            _write_csv(out_dir / name, payload)
-
     manifest = {
         "tool": "triadbalance",
         "version": __version__,
@@ -249,10 +228,7 @@ def run(config: RunConfig) -> int:
             "records": n_records,
         },
         "config": {
-            "sign_threshold": config.preprocess.sign_threshold,
-            "aggregate_rule": config.preprocess.aggregate_rule,
-            "prune_pendants": config.preprocess.prune_pendants,
-            "keep_component": config.preprocess.keep_component,
+            **asdict(config.preprocess),
             "balance_mode": config.balance_mode,
             "analyses": sorted(config.analyses),
             "emit": sorted(config.emit),
@@ -264,7 +240,17 @@ def run(config: RunConfig) -> int:
         },
         "reports": sorted(["graph.tsv", *reports]),
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        dump_tsv(pre, out_dir / "graph.tsv")
+        for name, payload in reports.items():
+            if name.endswith(".json"):
+                _write_json(out_dir / name, payload)
+            else:
+                _write_csv(out_dir / name, payload)
+        _write_json(out_dir / "manifest.json", manifest)
+    except OSError as exc:
+        return _input_error(f"cannot write reports to {out_dir}: {exc}")
     return EXIT_OK
 
 
@@ -354,18 +340,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _oracle_check(args: argparse.Namespace) -> int:
     from .oracle import ORACLE_MAX_NODES, random_signed_digraph
 
+    n = args.n
     try:
         if args.input:
             records = load_edge_records(args.input, args.format)
             graph = preprocess(build_graph(records))
-        else:
-            graph = random_signed_digraph(args.n, args.edge_prob,
-                                          args.neg_prob, args.seed)
+            n = graph.n_nodes
+        # checked before a random graph is drawn, in O(n^2) time and memory
+        if n > ORACLE_MAX_NODES:
+            raise ValueError(
+                f"oracle supports at most {ORACLE_MAX_NODES} nodes")
+        if not args.input:
+            graph = random_signed_digraph(n, args.edge_prob, args.neg_prob,
+                                          args.seed)
     except (ValueError, OSError) as exc:
         return _input_error(exc)
-    if graph.n_nodes > ORACLE_MAX_NODES:
-        return _input_error(
-            f"oracle supports at most {ORACLE_MAX_NODES} nodes")
     from .crosscheck import compare_with_oracle
     mismatches = compare_with_oracle(graph)
     if mismatches:

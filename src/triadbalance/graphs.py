@@ -108,13 +108,14 @@ class SignedDigraph:
 
     def __new__(cls, edges: Iterable[tuple[str, str, int]] = (),
                 nodes: Iterable[str] = ()):
-        edge_list = [(str(u), str(v), int(s)) for u, v, s in edges]
+        edge_list = [(str(u), str(v), s) for u, v, s in edges]
         id_set = set(nodes)
         for u, v, s in edge_list:
             if u == v:
                 raise ValueError(f"self-loop {u!r} not allowed")
+            # checked as given: int(s) would truncate 1.5 to +1
             if s not in (1, -1):
-                raise ValueError(f"sign must be +1 or -1, got {s}")
+                raise ValueError(f"sign must be +1 or -1, got {s!r}")
             id_set.add(u)
             id_set.add(v)
         ids = tuple(sorted(id_set))

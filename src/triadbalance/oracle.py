@@ -209,6 +209,8 @@ def random_signed_digraph(n: int, edge_prob: float, neg_prob: float,
     source node, then one uniform per selected edge for the sign), so a
     given (n, edge_prob, neg_prob, seed) always yields the same graph.
     """
+    if n < 0:
+        raise ValueError(f"node count must be non-negative, got {n}")
     if not (0 <= edge_prob <= 1 and 0 <= neg_prob <= 1):
         raise ValueError("probabilities must be within [0, 1]")
     rng = np.random.Generator(np.random.PCG64(seed))

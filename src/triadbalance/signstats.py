@@ -13,8 +13,8 @@ memory rather than an O(n^2) distance matrix.  Each BFS level pulls the
 frontier bits of every node's neighbours through a column plan: nodes are
 relabelled by descending degree, the k-th neighbours of all nodes of degree
 above k form one column (a prefix of the rows), and the neighbours of the
-few highest-degree nodes past the last column of at least 64 rows form a
-small CSR tail.
+few highest-degree nodes past the last column of at least min(n, 64) rows
+form a small CSR tail.
 """
 from __future__ import annotations
 
@@ -58,14 +58,6 @@ class CompositionTable:
                 + [f"{self.proportions[k]:.2f}" for k in COMPOSITION_KEYS]
                 + [self.total])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": self.basis,
-            "total": self.total,
-            "counts": {k: self.counts[k] for k in COMPOSITION_KEYS},
-            "proportions": {k: self.proportions[k] for k in COMPOSITION_KEYS},
-        }
-
 
 def _table(counts: dict, basis: str) -> CompositionTable:
     total = sum(counts.values())
@@ -103,18 +95,6 @@ class GraphMetrics:
     avg_path_length: float
     clustering_coefficient: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "node_count": self.node_count,
-            "edge_count": self.edge_count,
-            "component_count": self.component_count,
-            "transitivity": self.transitivity,
-            "density": self.density,
-            "avg_path_length": self.avg_path_length,
-            "clustering_coefficient": self.clustering_coefficient,
-            "basis": dict(METRIC_BASIS),
-        }
-
     def to_csv_rows(self) -> list[list]:
         return [
             ["measure", "value"],
@@ -135,11 +115,12 @@ def _pull_plan(indptr: np.ndarray, indices: np.ndarray
 
     Column k lists the k-th neighbour of every row of degree above k; as the
     rows are sorted by degree, those rows are a prefix of length len(column).
-    Only columns of at least _MIN_COLUMN_ROWS rows are kept, so the first
-    column, when there is one, covers every row.  The remaining neighbours of
-    the fewer than _MIN_COLUMN_ROWS rows of higher degree form one CSR tail:
-    row r's are `tail_indices[tail_starts[r]:tail_starts[r + 1]]`, the last
-    segment running to the end.
+    Only columns of at least min(n, _MIN_COLUMN_ROWS) rows are kept, so for
+    n >= 1 the first column is kept and covers every row.  The remaining
+    neighbours of the fewer than _MIN_COLUMN_ROWS rows of higher degree form
+    one CSR tail: row r's are
+    `tail_indices[tail_starts[r]:tail_starts[r + 1]]`, the last segment
+    running to the end.
     """
     n = len(indptr) - 1
     degrees = np.diff(indptr)
@@ -148,8 +129,7 @@ def _pull_plan(indptr: np.ndarray, indices: np.ndarray
     label[order] = np.arange(n)
     degree = degrees[order]
     starts = indptr[:-1][order]
-    n_columns = (int(degree[_MIN_COLUMN_ROWS - 1])
-                 if n >= _MIN_COLUMN_ROWS else 0)
+    n_columns = int(degree[min(n, _MIN_COLUMN_ROWS) - 1])
     # rows[k] counts the rows of degree above k; negated, degrees ascend
     rows = np.searchsorted(-degree, -np.arange(n_columns + 1))
     columns = [label[indices[starts[:rows[k]] + k]] for k in range(n_columns)]
@@ -196,19 +176,15 @@ def _distance_sum(indptr: np.ndarray, indices: np.ndarray) -> int:
             level += 1
             # the plan's labels are all in range, so mode="clip" clips
             # nothing and spares the buffered copy of the default mode
-            if columns:
-                np.take(frontier, columns[0], axis=0, out=pulled, mode="clip")
+            np.take(frontier, columns[0], axis=0, out=pulled, mode="clip")
             for column in columns[1:]:
                 part = gathered[:len(column)]
                 np.take(frontier, column, axis=0, out=part, mode="clip")
                 np.bitwise_or(pulled[:len(column)], part,
                               out=pulled[:len(column)])
             if len(tail_starts):
-                head = np.bitwise_or.reduceat(frontier[tail], tail_starts,
-                                              axis=0)
-                if columns:
-                    head |= pulled[:len(head)]
-                pulled[:len(head)] = head
+                pulled[:len(tail_starts)] |= np.bitwise_or.reduceat(
+                    frontier[tail], tail_starts, axis=0)
             frontier, pulled = pulled, frontier
             frontier &= unvisited
             reached = int(np.bitwise_count(frontier).sum())

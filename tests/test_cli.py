@@ -9,9 +9,12 @@ from pathlib import Path
 import pytest
 
 import triadbalance
+import triadbalance.oracle
 from triadbalance import load_tsv
-from triadbalance.census import resolve_workers
-from triadbalance.cli import main
+from triadbalance.census import (CLASSIFICATIONS, TRIAD_TYPES,
+                                 resolve_workers)
+from triadbalance.cli import RunConfig, main, run
+from triadbalance.signstats import COMPOSITION_KEYS, METRIC_BASIS
 
 TRIANGLE_TSV = """\
 a\tb\t+1
@@ -156,14 +159,17 @@ def test_directory_input_exits_2(tmp_path, capsys):
     ["analyze", "--input", "{tsv}", "--emit", ",", "--out", "{out}"],
     ["oracle-check", "--input", "{tmp}/missing.tsv"],
     ["oracle-check", "--input", "{matrix}"],
+    ["oracle-check", "--n", "-1"],
     ["gen-random", "--n", "5", "--edge-prob", "2", "--out", "{out}"],
     ["gen-random", "--n", "5", "--edge-prob", "0.2",
      "--out", "{tmp}/missing/r.tsv"],
+    ["gen-random", "--n", "-1", "--edge-prob", "0.2", "--out", "{out}"],
     ["analyze", "--input", "{csv}", "--format", "csv-rating",
      "--out", "{out}"],
 ], ids=["threshold-nan", "threshold-inf", "empty-emit",
-        "oracle-missing-input", "oracle-matrix-as-tsv", "gen-edge-prob",
-        "gen-missing-out-dir", "csv-tab-in-id"])
+        "oracle-missing-input", "oracle-matrix-as-tsv", "oracle-negative-n",
+        "gen-edge-prob", "gen-missing-out-dir", "gen-negative-n",
+        "csv-tab-in-id"])
 def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, argv):
     paths = {"tmp": tmp_path, "out": tmp_path / "out",
              "tsv": _write(tmp_path, "g.tsv", TRIANGLE_TSV),
@@ -262,6 +268,18 @@ def test_oracle_check_subcommand(capsys):
     assert "oracle-check OK" in capsys.readouterr().out
 
 
+def test_oracle_check_refuses_over_cap_n_before_drawing(monkeypatch, capsys):
+    # the random graph takes O(n^2) to draw, so the cap is checked first
+    def no_draw(*args, **kwargs):
+        raise AssertionError("random graph drawn for an over-cap --n")
+
+    monkeypatch.setattr(triadbalance.oracle, "random_signed_digraph", no_draw)
+    cap = triadbalance.oracle.ORACLE_MAX_NODES
+    for n in (cap + 1, 2000):
+        assert main(["oracle-check", "--n", str(n)]) == 2
+        assert f"at most {cap} nodes" in capsys.readouterr().err
+
+
 def test_matrix_format_via_cli(tmp_path):
     data = _write(tmp_path, "m.txt", "0 1 1\n1 0 1\n1 1 0\n")
     out = tmp_path / "out"
@@ -315,6 +333,82 @@ def test_unwritable_out_dir_exits_2(tmp_path, monkeypatch, capsys):
         assert rc == 2
         assert "error: cannot create output directory" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv", "not-a-dir"]
+
+
+@pytest.mark.parametrize("blocked", ["graph.tsv", "balance.json"])
+def test_failed_report_write_exits_2(tmp_path, capsys, blocked):
+    data = _write(tmp_path, "g.tsv", TRIANGLE_TSV)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    rc = main(["analyze", "--input", str(data), "--out", str(out)])
+    assert rc == 2
+    assert f"error: cannot write reports to {out}: " in capsys.readouterr().err
+
+
+def _schema(value):
+    """A JSON document's keys, nested: a dict maps each key to its value's
+    schema, a list gives its elements' distinct schemas, anything else None."""
+    if isinstance(value, dict):
+        return {k: _schema(v) for k, v in value.items()}
+    if isinstance(value, list):
+        distinct = []
+        for item in map(_schema, value):
+            if item not in distinct:
+                distinct.append(item)
+        return distinct
+    return None
+
+
+def test_report_json_schema(tmp_path):
+    # the JSON keys are the field names of the figure dataclasses, so a
+    # field added to one changes a report; this pins every layout
+    data = _write(tmp_path, "mismatch.tsv", MISMATCH_TSV)
+    out = tmp_path / "out"
+    assert run(RunConfig(input_path=str(data), out_dir=str(out))) == 0
+    docs = {path.stem: _schema(json.loads(path.read_text()))
+            for path in out.glob("*.json")}
+    ratio_counts = dict.fromkeys(("ratio", "balanced", "imbalanced"))
+    undirected = {"triangles": None, **ratio_counts}
+    classes = dict.fromkeys(CLASSIFICATIONS)
+    composition = {"basis": None, "total": None,
+                   "counts": dict.fromkeys(COMPOSITION_KEYS),
+                   "proportions": dict.fromkeys(COMPOSITION_KEYS)}
+    assert docs == {
+        "census": {"n_nodes": None, "include_disconnected": None,
+                   "counts": dict.fromkeys(TRIAD_TYPES)},
+        "balance": {"per_type": [dict.fromkeys(("type", "count", "ratio"))],
+                    "overall_type_mean": None, "overall_triad_mean": None,
+                    "nonpartial": ratio_counts,
+                    "classification_counts": classes,
+                    "undirected": undirected,
+                    "mode": None, "overall_balance": None},
+        "composition": {"network": None, "directed": composition,
+                        "undirected": composition},
+        "metrics": {"node_count": None, "edge_count": None,
+                    "component_count": None, "transitivity": None,
+                    "density": None, "avg_path_length": None,
+                    "clustering_coefficient": None,
+                    "basis": dict.fromkeys(METRIC_BASIS)},
+        "compare": {"directed_partial": {"ratio": None,
+                                         "classification_counts": classes},
+                    "directed_nonpartial": ratio_counts,
+                    "undirected": undirected,
+                    "cancelled_edges": [[None]],
+                    "undirected_only_triangles": [],
+                    "identical_realizations": None},
+        "manifest": {"tool": None, "version": None, "created": None,
+                     "input": dict.fromkeys(("path", "sha256", "format",
+                                             "records")),
+                     "config": {"sign_threshold": None,
+                                "aggregate_rule": None,
+                                "prune_pendants": None,
+                                "keep_component": None,
+                                "balance_mode": None, "analyses": [None],
+                                "emit": [None], "workers": None},
+                     "counts": {"before": {"nodes": None, "edges": None},
+                                "after": {"nodes": None, "edges": None}},
+                     "reports": [None]},
+    }
 
 
 def test_worker_budget_capped_by_cpus():

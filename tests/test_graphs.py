@@ -365,6 +365,10 @@ def test_duplicate_edge_rejected():
 def test_zero_sign_rejected():
     with pytest.raises(ValueError, match="sign"):
         SignedDigraph([("a", "b", 0)])
+    # a fractional sign is rejected as given, not truncated to +-1 or 0
+    for sign in (1.5, -1.9, 0.5):
+        with pytest.raises(ValueError, match=f"got {sign}$"):
+            SignedDigraph([("a", "b", sign)])
 
 
 def test_build_graph_rejects_ids_out_of_order():

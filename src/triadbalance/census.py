@@ -1,14 +1,16 @@
 """Triad census for signed digraphs.
 
-One pass over the dyad table (`graphs.dyad_table`) lists the triangles
-(triads whose three dyads are all connected) and feeds every figure.  It is
-the degree-ordered forward algorithm (Chiba & Nishizeki 1985; Latapy 2008)
-in numpy, in one process: each dyad points toward the node of higher
-(degree, index) rank, with its code in that orientation, the wedges of each
-node's out-neighbours are listed in fixed-size chunks, and one binary
-search over the oriented keys closes them.  A triangle's 12-bit index, its
-6-bit dyad code plus the signs of the edges present, comes from the codes
-of its three dyads, and one table folds the index counts into the tallies.
+One pass over the triangles (triads whose three dyads are all connected)
+feeds every figure.  It is the degree-ordered forward algorithm (Chiba &
+Nishizeki 1985; Latapy 2008) in numpy, in one process.  One sort of the
+edges in rank space gives each connected dyad, pointed toward the node of
+higher (edge degree, index) rank, its 4-bit code in that orientation.  The
+wedges of each node's out-edges are listed in fixed-size chunks.  A 64-bit
+signature per row, one bit per out-neighbour rank modulo 64, drops most
+wedges that cannot close, and a bisection inside the closing row checks the
+rest.  A triangle's 12-bit index, its 6-bit dyad code plus the signs of the
+edges present, comes from the codes of its three dyads, and one table folds
+the index counts into the tallies.
 The six open classes have exactly one centre node, so they follow from
 per-node dyad counts minus the centre wedges inside the triangles (Moody
 1998; Batagelj & Mrvar 2001), and the three disconnected classes (003, 012,
@@ -30,7 +32,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import NonTransitiveTriadError
-from .graphs import (SignedDigraph, cancelled_pairs, dyad_table, find_keys,
+from .graphs import (_CANCELLING, SignedDigraph, dyad_table, find_keys,
                      skeleton_csr)
 
 TRIAD_TYPES = ("003", "012", "102", "021D", "021U", "021C", "111D", "111U",
@@ -204,9 +206,9 @@ def transitive_triples(graph: SignedDigraph, triad: Triad) -> list[Triple]:
 
 # -- triangle pass ----------------------------------------------------------------
 
-#: wedges closed per step of the triangle pass, which bounds its memory
-#: (the wedges of one edge, at most the square root of twice the edge
-#: count under the degree order, may overshoot it)
+#: wedges listed per step of the triangle pass, which bounds its memory
+#: (the wedges of one edge may overshoot it; under the edge-degree order
+#: they are fewer than the square root of twice the edge count)
 _WEDGE_CHUNK = 1 << 18
 
 
@@ -284,31 +286,55 @@ def resolve_workers(requested: int | None = None) -> int:
     return max(1, min(requested, cpus) if requested and requested > 0 else cpus)
 
 
+def _oriented_dyads(graph: SignedDigraph) -> tuple[np.ndarray, ...]:
+    """The connected dyads in rank space, from one sort of the edges: `node`
+    (rank -> node index), and the sorted dyads as `tail` -> `head` of higher
+    rank with their `code`s seen from the tail (see `graphs.dyad_table`).
+    Nodes are ranked by (edge degree, index), so no tail has more heads than
+    the square root of twice the edge count."""
+    n = graph.n_nodes
+    degree = np.bincount(graph.src, minlength=n) + np.bincount(graph.dst,
+                                                               minlength=n)
+    node = np.argsort(degree, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[node] = np.arange(n)
+    a, b = rank[graph.src], rank[graph.dst]
+    negative = (graph.sgn < 0).astype(np.int64)
+    tagged = np.sort((np.minimum(a, b) * n + np.maximum(a, b)) << 4
+                     | np.where(a < b, 1 | negative << 2, 2 | negative << 3))
+    keys = tagged >> 4
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    return (node, *np.divmod(keys[first], n),
+            np.bitwise_or.reduceat(tagged & 15, first))
+
+
 def scan_triads(graph: SignedDigraph) -> TriadTallies:
     """One pass over the dyads and the triangles, in this process.
 
     The tallies are all integer and the lists are sorted, so results do not
-    depend on the chunking.
+    depend on the chunking or on the rank order.
     """
     n = graph.n_nodes
-    pairs, codes = dyad_table(graph)
-    lo, hi = np.divmod(pairs, n)
     # a triangle is found once, at its lowest-ranked node x, as the wedge of
     # two out-edges x -> y, x -> z closed by the edge y -> z
-    degree = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
-    node = np.argsort(degree, kind="stable")  # rank -> node
-    rank = np.empty(n, dtype=np.int64)
-    rank[node] = np.arange(n)
-    a, b = rank[lo], rank[hi]
-    keys = np.sort((np.minimum(a, b) * n + np.maximum(a, b)) << 4
-                   | np.where(a < b, codes, _SWAP[codes]))
-    code = keys & 15
-    keys >>= 4  # oriented edges, in rank space
-    tail, head = np.divmod(keys, n)
-    row_end = np.cumsum(np.bincount(tail, minlength=n))
-    # edge e opens one wedge with each later edge of its row
+    node, tail, head, code = _oriented_dyads(graph)
+    length = np.bincount(tail, minlength=n)
+    row_end = np.cumsum(length)
+    row_start = row_end - length
+    # row y's signature has bit z & 63 set for each of its heads z, so a
+    # wedge whose closing head's bit is clear there cannot close
+    bit = np.left_shift(np.uint64(1), (head & 63).astype(np.uint64))
+    signature = np.zeros(n, dtype=np.uint64)
+    rows = np.flatnonzero(length)
+    if len(rows):
+        signature[rows] = np.bitwise_or.reduceat(bit, row_start[rows])
+    head_signature = signature[head]
+    steps = int(np.max(length, initial=0)).bit_length()
+    # edge e opens one wedge with each later edge of its row: its k-th wedge,
+    # number opened[e] - later[e] + k of the pass, pairs it with edge e + 1 + k
     later = row_end[tail] - 1 - np.arange(len(tail))
     opened = np.cumsum(later)
+    shift = np.arange(1, len(tail) + 1) - (opened - later)
     counts = np.zeros(1 << 12, dtype=np.int64)
     node_triangles = np.zeros(n, dtype=np.int64)
     undirected_only = [np.zeros((0, 3), dtype=np.int64)]
@@ -318,13 +344,22 @@ def scan_triads(graph: SignedDigraph) -> TriadTallies:
         stop = max(int(np.searchsorted(opened, done + _WEDGE_CHUNK, "right")),
                    first + 1)
         count = later[first:stop]
-        edge = np.repeat(np.arange(first, stop), count)
-        # the k-th wedge of edge e pairs it with edge e + 1 + k
-        partner = (edge + 1 + np.arange(len(edge))
-                   - np.repeat(np.cumsum(count) - count, count))
-        closing = find_keys(keys, head[edge] * n + head[partner])
-        closed = closing >= 0
-        edge, partner, closing = edge[closed], partner[closed], closing[closed]
+        partner = (np.arange(done, opened[stop - 1])
+                   + np.repeat(shift[first:stop], count))
+        maybe = np.repeat(head_signature[first:stop], count) & bit[partner] != 0
+        edge = np.repeat(np.arange(first, stop), count)[maybe]
+        partner = partner[maybe]
+        y, z = head[edge], head[partner]
+        # bisect for z among row y's heads; a probe past an empty range at
+        # the row's end may step beyond it, so only a position inside closes
+        low, high = row_start[y], row_end[y]
+        for _ in range(steps):
+            mid = (low + high) >> 1
+            less = head.take(mid, mode="clip") < z
+            low = np.where(less, mid + 1, low)
+            high = np.where(less, high, mid)
+        closed = (low < row_end[y]) & (head.take(low, mode="clip") == z)
+        edge, partner, closing = edge[closed], partner[closed], low[closed]
         index = _fold_index(code[edge], code[partner], code[closing])
         x, y, z = node[tail[edge]], node[head[edge]], node[head[partner]]
         counts += np.bincount(index, minlength=1 << 12)
@@ -354,10 +389,14 @@ def scan_triads(graph: SignedDigraph) -> TriadTallies:
     triads = np.concatenate(undirected_only)
     # index order is id order, so this is the order of the id triples
     triads = triads[np.lexsort(triads.T[::-1])].tolist()
-    # per node, its out-only (column 1), in-only (2) and mutual (3) dyads
-    _, o, i, m = np.bincount(np.concatenate([lo * 4 + (codes & 3),
-                                             hi * 4 + (_SWAP[codes] & 3)]),
+    # per rank, its out-only (column 1), in-only (2) and mutual (3) dyads
+    _, o, i, m = np.bincount(np.concatenate([tail * 4 + (code & 3),
+                                             head * 4 + (_SWAP[code] & 3)]),
                              minlength=4 * n).reshape(n, 4).T
+    # the cancelling codes are their own swaps, so either end may come first
+    ends = np.sort(node[np.stack([tail, head])[:, np.isin(code, _CANCELLING)]],
+                   axis=0)
+    cancelled = ends[:, np.argsort(ends[0] * n + ends[1])].tolist()
     # int64 sums cannot wrap: each is at most (edges) * (nodes)
     open_wedges = {
         "021D": o * (o - 1) // 2, "021U": i * (i - 1) // 2, "021C": o * i,
@@ -373,7 +412,7 @@ def scan_triads(graph: SignedDigraph) -> TriadTallies:
         undirected_only=[(ids[u], ids[v], ids[w]) for u, v, w in triads],
         open_wedges={cls: int(w.sum()) for cls, w in open_wedges.items()},
         mutual=int(m.sum()) // 2,
-        cancelled=cancelled_pairs(graph, (pairs, codes)),
+        cancelled=[(ids[u], ids[v]) for u, v in zip(*cancelled)],
         node_triangles=tuple(node_triangles.tolist()),
     )
 

@@ -1,5 +1,5 @@
 import importlib
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb
 from unittest import mock
 
@@ -16,7 +16,8 @@ from triadbalance import (TRANSITIVE_TYPES, TRIAD_TYPES, TRIPLES_PER_TYPE,
                           undirected_balance)
 from triadbalance.cli import compare_report
 from triadbalance.errors import NonTransitiveTriadError
-from triadbalance.oracle import _PATTERNS, brute_force, random_signed_digraph
+from triadbalance.oracle import (_PATTERNS, ORACLE_MAX_NODES, brute_force,
+                                random_signed_digraph)
 
 # the package's `census` function hides the module of the same name
 census_module = importlib.import_module("triadbalance.census")
@@ -128,15 +129,8 @@ def _mismatched_digraph(n, edge_prob, seed):
                          nodes=[str(i) for i in range(n)])
 
 
-@given(n=st.integers(3, 40), edge_prob=st.sampled_from([0.08, 0.2, 0.35]),
-       seed=st.integers(0, 10**6))
-@settings(max_examples=60, deadline=None)
-def test_scan_across_wedge_chunks_matches_oracle(n, edge_prob, seed):
-    g = _mismatched_digraph(n, edge_prob, seed)
-    # a chunk of 3 wedges splits every graph's pass many times, and many
-    # single edges open more wedges than one chunk holds
-    with mock.patch.object(census_module, "_WEDGE_CHUNK", 3):
-        tallies = scan_triads(g)
+def _assert_tallies_match_oracle(g, tallies):
+    """Every field of one pass's tallies against the brute-force oracle."""
     reference = brute_force(g)
     assert census(g, tallies).counts == {
         cls: reference.census.get(cls, 0) for cls in TRIAD_TYPES}
@@ -164,13 +158,51 @@ def test_scan_across_wedge_chunks_matches_oracle(n, edge_prob, seed):
         if cls in ("030C", "120C", "210")
         and not any(p in cancelled for p in permutations(nodes, 2)))
     assert tallies.cancelled == sorted((u, v) for u, v in cancelled if u < v)
-    adjacent = {frozenset(pair) for pair in signs}
-    at_node = dict.fromkeys(g.ids, 0)
-    for nodes in combinations(g.ids, 3):
-        if all(frozenset(p) in adjacent for p in combinations(nodes, 2)):
-            for node in nodes:
-                at_node[node] += 1
-    assert tallies.node_triangles == tuple(at_node[i] for i in g.ids)
+    near = {u: set() for u in g.ids}
+    for u, v in signs:
+        near[u].add(v)
+        near[v].add(u)
+    # each triangle at u is seen from both of its other nodes
+    assert tallies.node_triangles == tuple(
+        sum(len(near[u] & near[v]) for v in near[u]) // 2 for u in g.ids)
+
+
+@given(n=st.integers(3, 40), edge_prob=st.sampled_from([0.08, 0.2, 0.35]),
+       seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_scan_across_wedge_chunks_matches_oracle(n, edge_prob, seed):
+    g = _mismatched_digraph(n, edge_prob, seed)
+    # a chunk of 3 wedges splits every graph's pass many times, and many
+    # single edges open more wedges than one chunk holds
+    with mock.patch.object(census_module, "_WEDGE_CHUNK", 3):
+        _assert_tallies_match_oracle(g, scan_triads(g))
+
+
+@pytest.mark.parametrize("n, edge_prob, seed", [
+    (65, 0.12, 1), (100, 0.08, 2), (ORACLE_MAX_NODES, 0.04, 3)])
+def test_scan_with_shared_signature_bits_matches_oracle(n, edge_prob, seed):
+    # above 64 nodes two ranks share each bit of a row's signature, so many
+    # wedges pass it without closing and only the row search rejects them
+    g = _mismatched_digraph(n, edge_prob, seed)
+    with mock.patch.object(census_module, "_WEDGE_CHUNK", 64):
+        _assert_tallies_match_oracle(g, scan_triads(g))
+
+
+def test_signature_collision_without_closing_edge():
+    # ids sort as ranks, since every node has two edges: a, b, c, the 63-cycle
+    # d00..d62, then e, 64 ranks above c.  The wedge a -> b, a -> e passes
+    # b's signature through b -> c, the edge b -> e is absent, and the row
+    # after b's, c's, starts with e
+    cycle = [f"d{i:02d}" for i in range(63)]
+    g = SignedDigraph([("a", "b", 1), ("a", "e", -1), ("b", "c", 1),
+                       ("c", "e", 1)]
+                      + [(u, v, 1) for u, v in zip(cycle, cycle[1:] + cycle[:1])])
+    node = census_module._oriented_dyads(g)[0]
+    assert node.tolist() == list(range(g.n_nodes))
+    assert g.index["e"] - g.index["c"] == 64
+    tallies = scan_triads(g)
+    assert sum(tallies.census.values()) == 0
+    _assert_tallies_match_oracle(g, tallies)
 
 
 @pytest.mark.parametrize("view, args", [

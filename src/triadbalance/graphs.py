@@ -617,12 +617,10 @@ def project_undirected(graph: SignedDigraph) -> SignedDigraph:
                                       np.concatenate([sgn, sgn])[order])
 
 
-def cancelled_pairs(graph: SignedDigraph,
-                    table: tuple | None = None) -> list[tuple[str, str]]:
+def cancelled_pairs(graph: SignedDigraph) -> list[tuple[str, str]]:
     """Unordered pairs removed by the projection's sign-mismatch rule,
-    sorted (index order is id order).  `table` is the graph's `dyad_table`,
-    when made already."""
-    pairs, codes = dyad_table(graph) if table is None else table
+    sorted (index order is id order)."""
+    pairs, codes = dyad_table(graph)
     ids = graph.ids
     lo, hi = np.divmod(pairs[np.isin(codes, _CANCELLING)], graph.n_nodes)
     return [(ids[u], ids[v]) for u, v in zip(lo.tolist(), hi.tolist())]

@@ -211,6 +211,8 @@ def random_signed_digraph(n: int, edge_prob: float, neg_prob: float,
     """
     if n < 0:
         raise ValueError(f"node count must be non-negative, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not (0 <= edge_prob <= 1 and 0 <= neg_prob <= 1):
         raise ValueError("probabilities must be within [0, 1]")
     rng = np.random.Generator(np.random.PCG64(seed))

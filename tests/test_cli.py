@@ -181,6 +181,18 @@ def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle-check", "--n", "5", "--seed", "-1"],
+    ["gen-random", "--n", "5", "--edge-prob", "0.2", "--seed", "-1",
+     "--out", "{out}"],
+], ids=["oracle-check", "gen-random"])
+def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys, argv):
+    out = tmp_path / "r.tsv"
+    assert main([arg.format(out=out) for arg in argv]) == 2
+    assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_transitive_triads_exits_3(tmp_path):
     data = _write(tmp_path, "cycle.tsv", CYCLE_ONLY_TSV)
     out = tmp_path / "out"

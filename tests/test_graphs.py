@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from triadbalance import (EdgeColumns, PreprocessConfig, SignedDigraph,
                           build_graph, cancelled_pairs, dump_tsv,
                           load_edge_records, load_tsv, metrics, preprocess,
-                          project_undirected)
+                          project_undirected, scan_triads)
 from triadbalance.errors import FormatError, ParseError
 from triadbalance.graphs import (AGGREGATE_RULES, _lines, _parse_lines,
                                  _parse_matrix, _split_regular, find_keys)
@@ -669,6 +669,7 @@ def test_cancelled_pairs_match_reference(seed):
     want = sorted({(min(u, v), max(u, v)) for (u, v), s in signs.items()
                    if signs.get((v, u), s) != s})
     assert cancelled_pairs(g) == want
+    assert scan_triads(g).cancelled == want
     # a kept pair takes the sign of its edges, in both directions
     assert _signs(project_undirected(g)) == {
         pair: s for (u, v), s in signs.items() if (min(u, v), max(u, v))

@@ -287,25 +287,18 @@ def resolve_workers(requested: int | None = None) -> int:
 
 
 def _oriented_dyads(graph: SignedDigraph) -> tuple[np.ndarray, ...]:
-    """The connected dyads in rank space, from one sort of the edges: `node`
-    (rank -> node index), and the sorted dyads as `tail` -> `head` of higher
-    rank with their `code`s seen from the tail (see `graphs.dyad_table`).
-    Nodes are ranked by (edge degree, index), so no tail has more heads than
-    the square root of twice the edge count."""
+    """The connected dyads in rank space: `node` (rank -> node index), and
+    the sorted dyads as `tail` -> `head` of higher rank with their `code`s
+    seen from the tail.  Nodes are ranked by (edge degree, index), so no
+    tail has more heads than the square root of twice the edge count."""
     n = graph.n_nodes
     degree = np.bincount(graph.src, minlength=n) + np.bincount(graph.dst,
                                                                minlength=n)
     node = np.argsort(degree, kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[node] = np.arange(n)
-    a, b = rank[graph.src], rank[graph.dst]
-    negative = (graph.sgn < 0).astype(np.int64)
-    tagged = np.sort((np.minimum(a, b) * n + np.maximum(a, b)) << 4
-                     | np.where(a < b, 1 | negative << 2, 2 | negative << 3))
-    keys = tagged >> 4
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    return (node, *np.divmod(keys[first], n),
-            np.bitwise_or.reduceat(tagged & 15, first))
+    pairs, code = dyad_table(graph, rank)
+    return (node, *np.divmod(pairs, n), code)
 
 
 def scan_triads(graph: SignedDigraph) -> TriadTallies:

@@ -223,13 +223,18 @@ def find_keys(keys: np.ndarray, want) -> np.ndarray:
 _CANCELLING = (0b0111, 0b1011)
 
 
-def dyad_table(graph: SignedDigraph) -> tuple[np.ndarray, np.ndarray]:
+def dyad_table(graph: SignedDigraph,
+               rank: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The connected dyads as (pairs, codes): the sorted keys lo * n + hi
     (lo < hi) of the pairs joined by an edge, and the 4-bit code of each:
     bit 0 set when lo -> hi is an edge, bit 1 when hi -> lo is, and bits 2
-    and 3 when those edges are negative.  One sort of the edges tagged with
-    their pair and their own bits, then one OR per pair."""
+    and 3 when those edges are negative.  lo and hi are node indices, or
+    their `rank`s when a permutation of the indices is given.  One sort of
+    the edges tagged with their pair and their own bits, then one OR per
+    pair."""
     src, dst = graph.src, graph.dst
+    if rank is not None:
+        src, dst = rank[src], rank[dst]
     forward = src < dst
     lo, hi = np.where(forward, src, dst), np.where(forward, dst, src)
     negative = (graph.sgn < 0).astype(np.int64)

@@ -328,6 +328,9 @@ def scan_triads(graph: SignedDigraph) -> TriadTallies:
     later = row_end[tail] - 1 - np.arange(len(tail))
     opened = np.cumsum(later)
     shift = np.arange(1, len(tail) + 1) - (opened - later)
+    # wedges are listed as edge positions, which 32 bits hold at half the
+    # bytes
+    position = np.int32 if len(tail) < 1 << 31 else np.int64
     counts = np.zeros(1 << 12, dtype=np.int64)
     node_triangles = np.zeros(n, dtype=np.int64)
     undirected_only = [np.zeros((0, 3), dtype=np.int64)]
@@ -337,10 +340,13 @@ def scan_triads(graph: SignedDigraph) -> TriadTallies:
         stop = max(int(np.searchsorted(opened, done + _WEDGE_CHUNK, "right")),
                    first + 1)
         count = later[first:stop]
-        partner = (np.arange(done, opened[stop - 1])
-                   + np.repeat(shift[first:stop], count))
-        maybe = np.repeat(head_signature[first:stop], count) & bit[partner] != 0
-        edge = np.repeat(np.arange(first, stop), count)[maybe]
+        # numbered from the chunk's first wedge, which keeps them in 32 bits
+        partner = (np.arange(opened[stop - 1] - done, dtype=position)
+                   + np.repeat((shift[first:stop] + done).astype(position),
+                               count))
+        maybe = np.flatnonzero(np.repeat(head_signature[first:stop], count)
+                               & bit.take(partner) != 0)
+        edge = np.repeat(np.arange(first, stop, dtype=position), count)[maybe]
         partner = partner[maybe]
         y, z = head[edge], head[partner]
         # bisect for z among row y's heads; a probe past an empty range at

@@ -319,8 +319,7 @@ def scan_triads(graph: SignedDigraph) -> TriadTallies:
     bit = np.left_shift(np.uint64(1), (head & 63).astype(np.uint64))
     signature = np.zeros(n, dtype=np.uint64)
     rows = np.flatnonzero(length)
-    if len(rows):
-        signature[rows] = np.bitwise_or.reduceat(bit, row_start[rows])
+    signature[rows] = np.bitwise_or.reduceat(bit, row_start[rows])
     head_signature = signature[head]
     steps = int(np.max(length, initial=0)).bit_length()
     # edge e opens one wedge with each later edge of its row: its k-th wedge,

@@ -114,13 +114,15 @@ _CENTRE_WEDGES = {
 
 #: dyad code with its two nodes exchanged (see `graphs.dyad_table`)
 _SWAP = np.array([(code & 0b0101) << 1 | (code & 0b1010) >> 1
-                  for code in range(16)], dtype=np.int64)
+                  for code in range(16)], dtype=np.uint8)
 
 
 def _fold_index(xy, xz, yz):
     """The 12-bit index of triads (x, y, z), from the dyad codes of (x, y),
     (x, z) and (y, z) seen from the first node: the 6-bit dyad code, plus
     bit 6 + b set when the edge of code bit b is present and negative."""
+    # widened, as uint8 codes would lose the high bits
+    xy, xz, yz = (np.asarray(c, dtype=np.int64) for c in (xy, xz, yz))
     return ((xy & 3) | (xz & 3) << 2 | (yz & 3) << 4
             | (xy >> 2) << 6 | (xz >> 2) << 8 | (yz >> 2) << 10)
 
@@ -206,10 +208,13 @@ def transitive_triples(graph: SignedDigraph, triad: Triad) -> list[Triple]:
 
 # -- triangle pass ----------------------------------------------------------------
 
-#: wedges listed per step of the triangle pass, which bounds its memory
-#: (the wedges of one edge may overshoot it; under the edge-degree order
-#: they are fewer than the square root of twice the edge count)
-_WEDGE_CHUNK = 1 << 18
+#: wedges listed per step of the triangle pass.  A listed wedge holds about
+#: 30 bytes of temporaries, so a step holds about 2 MB, as much as the 25
+#: bytes the pass keeps per dyad come to at 80k dyads; above that the dyads
+#: set the pass's peak.  The wedges of one edge may overshoot a step; under
+#: the edge-degree order they are fewer than the square root of twice the
+#: edge count.
+_WEDGE_CHUNK = 1 << 16
 
 
 def _fold_entry(code: int, negative: int) -> tuple:
@@ -288,17 +293,21 @@ def resolve_workers(requested: int | None = None) -> int:
 
 def _oriented_dyads(graph: SignedDigraph) -> tuple[np.ndarray, ...]:
     """The connected dyads in rank space: `node` (rank -> node index), and
-    the sorted dyads as `tail` -> `head` of higher rank with their `code`s
-    seen from the tail.  Nodes are ranked by (edge degree, index), so no
-    tail has more heads than the square root of twice the edge count."""
+    the sorted dyads as `tail` -> `head` of higher rank with their uint8
+    `code`s seen from the tail.  Nodes are ranked by (edge degree, index),
+    so no tail has more heads than the square root of twice the edge count.
+    Ranks, tails and heads are 32-bit when the node and edge counts fit."""
     n = graph.n_nodes
     degree = np.bincount(graph.src, minlength=n) + np.bincount(graph.dst,
                                                                minlength=n)
     node = np.argsort(degree, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[node] = np.arange(n)
+    index = np.int32 if max(n, graph.n_edges) < 1 << 31 else np.int64
+    rank = np.empty(n, dtype=index)
+    rank[node] = np.arange(n, dtype=index)
     pairs, code = dyad_table(graph, rank)
-    return (node, *np.divmod(pairs, n), code)
+    tail, head = np.empty(len(pairs), index), np.empty(len(pairs), index)
+    np.divmod(pairs, n, out=(tail, head))
+    return node, tail, head, code
 
 
 def scan_triads(graph: SignedDigraph) -> TriadTallies:
@@ -311,8 +320,8 @@ def scan_triads(graph: SignedDigraph) -> TriadTallies:
     # a triangle is found once, at its lowest-ranked node x, as the wedge of
     # two out-edges x -> y, x -> z closed by the edge y -> z
     node, tail, head, code = _oriented_dyads(graph)
-    length = np.bincount(tail, minlength=n)
-    row_end = np.cumsum(length)
+    length = np.bincount(tail, minlength=n).astype(tail.dtype)
+    row_end = np.cumsum(length, dtype=tail.dtype)
     row_start = row_end - length
     # row y's signature has bit z & 63 set for each of its heads z, so a
     # wedge whose closing head's bit is clear there cannot close
@@ -320,16 +329,10 @@ def scan_triads(graph: SignedDigraph) -> TriadTallies:
     signature = np.zeros(n, dtype=np.uint64)
     rows = np.flatnonzero(length)
     signature[rows] = np.bitwise_or.reduceat(bit, row_start[rows])
-    head_signature = signature[head]
     steps = int(np.max(length, initial=0)).bit_length()
-    # edge e opens one wedge with each later edge of its row: its k-th wedge,
-    # number opened[e] - later[e] + k of the pass, pairs it with edge e + 1 + k
-    later = row_end[tail] - 1 - np.arange(len(tail))
-    opened = np.cumsum(later)
-    shift = np.arange(1, len(tail) + 1) - (opened - later)
-    # wedges are listed as edge positions, which 32 bits hold at half the
-    # bytes
-    position = np.int32 if len(tail) < 1 << 31 else np.int64
+    # edge e opens one wedge with each later edge of its row: its k-th wedge
+    # pairs it with edge e + 1 + k, and opened[e] counts the wedges up to e's
+    opened = np.cumsum(row_end[tail] - np.arange(1, len(tail) + 1))
     counts = np.zeros(1 << 12, dtype=np.int64)
     node_triangles = np.zeros(n, dtype=np.int64)
     undirected_only = [np.zeros((0, 3), dtype=np.int64)]
@@ -338,21 +341,23 @@ def scan_triads(graph: SignedDigraph) -> TriadTallies:
         done = opened[first - 1] if first else 0
         stop = max(int(np.searchsorted(opened, done + _WEDGE_CHUNK, "right")),
                    first + 1)
-        count = later[first:stop]
-        # numbered from the chunk's first wedge, which keeps them in 32 bits
-        partner = (np.arange(opened[stop - 1] - done, dtype=position)
-                   + np.repeat((shift[first:stop] + done).astype(position),
-                               count))
-        maybe = np.flatnonzero(np.repeat(head_signature[first:stop], count)
-                               & bit.take(partner) != 0)
-        edge = np.repeat(np.arange(first, stop, dtype=position), count)[maybe]
+        edges = np.arange(first, stop, dtype=tail.dtype)
+        count = row_end[tail[first:stop]] - 1 - edges
+        # wedges are numbered from the chunk's first, which keeps them in 32
+        # bits: edge e's are numbered from opened[e] - done - count[e] on
+        begin = (opened[first:stop] - done).astype(tail.dtype) - count
+        partner = (np.arange(opened[stop - 1] - done, dtype=tail.dtype)
+                   + np.repeat(edges + 1 - begin, count))
+        maybe = np.flatnonzero(np.repeat(signature[head[first:stop]], count)
+                               & bit.take(partner))
+        edge = np.repeat(edges, count)[maybe]
         partner = partner[maybe]
         y, z = head[edge], head[partner]
         # bisect for z among row y's heads; a probe past an empty range at
         # the row's end may step beyond it, so only a position inside closes
         low, high = row_start[y], row_end[y]
         for _ in range(steps):
-            mid = (low + high) >> 1
+            mid = low + ((high - low) >> 1)
             less = head.take(mid, mode="clip") < z
             low = np.where(less, mid + 1, low)
             high = np.where(less, high, mid)
@@ -387,13 +392,15 @@ def scan_triads(graph: SignedDigraph) -> TriadTallies:
     triads = np.concatenate(undirected_only)
     # index order is id order, so this is the order of the id triples
     triads = triads[np.lexsort(triads.T[::-1])].tolist()
+    del bit, opened  # the dyad kinds below need the room
     # per rank, its out-only (column 1), in-only (2) and mutual (3) dyads
-    _, o, i, m = np.bincount(np.concatenate([tail * 4 + (code & 3),
-                                             head * 4 + (_SWAP[code] & 3)]),
-                             minlength=4 * n).reshape(n, 4).T
+    ends = np.concatenate([tail, head]).astype(np.int64)
+    ends *= 4
+    ends += np.concatenate([code, _SWAP[code]]) & 3
+    _, o, i, m = np.bincount(ends, minlength=4 * n).reshape(n, 4).T
     # the cancelling codes are their own swaps, so either end may come first
-    ends = np.sort(node[np.stack([tail, head])[:, np.isin(code, _CANCELLING)]],
-                   axis=0)
+    cancel = np.isin(code, _CANCELLING)
+    ends = np.sort(node[np.stack([tail[cancel], head[cancel]])], axis=0)
     cancelled = ends[:, np.argsort(ends[0] * n + ends[1])].tolist()
     # int64 sums cannot wrap: each is at most (edges) * (nodes)
     open_wedges = {

@@ -3,12 +3,12 @@
 Every input format parses into `EdgeColumns`: the sorted distinct node ids,
 and per record (in input order) the positions of its source and target
 among them and its weight.  `build_graph` aggregates and thresholds those
-into signs.  The input is read once, as one string, whatever the kind of
-source.  A regular tsv-sign text is split into its columns in one pass;
-when every id fits in 8 bytes, its ids are interned on their UTF-8 bytes,
-so only the distinct ids become strings.  Every other text goes through a
-per-line loop that splits lines at LF, CR and CRLF alike for paths, bytes
-and streams, and interns its id strings in Python.
+into signs.  The input is read once.  A regular tsv-sign input is split
+into its columns in one pass over one padded copy of its UTF-8 bytes; when
+every id fits in 8 bytes, its ids are interned on those bytes, so only the
+distinct ids become strings.  Every other input is decoded into one string
+and goes through a per-line loop that splits lines at LF, CR and CRLF alike
+for paths, bytes and streams, and interns its id strings in Python.
 Node ids are opaque strings everywhere at the API surface.  Internally each
 graph maps its ids to dense integer indices (sorted id order) and stores its
 edges once, as read-only source, target and sign arrays sorted by index
@@ -98,13 +98,13 @@ class SignedDigraph:
     target) index, so the pair keys source * n + target are sorted too and
     every lookup is a binary search over them:
         ids:   tuple of node id strings, sorted; position = dense index
-        index: dict mapping id -> index
+        index: dict mapping id -> index, built on first use
         src:   int64 source index of each edge
         dst:   int64 target index of each edge
         sgn:   int8 sign of each edge, +1 | -1
     """
 
-    __slots__ = ("ids", "index", "src", "dst", "sgn")
+    __slots__ = ("ids", "_index", "src", "dst", "sgn")
 
     def __new__(cls, edges: Iterable[tuple[str, str, int]] = (),
                 nodes: Iterable[str] = ()):
@@ -137,7 +137,7 @@ class SignedDigraph:
         sorted by (src, dst) and hold no self-loop and no repeated pair."""
         g = object.__new__(cls)
         g.ids = ids
-        g.index = dict(zip(ids, range(len(ids))))
+        g._index = None
         g.src = np.asarray(src, dtype=np.int64)
         g.dst = np.asarray(dst, dtype=np.int64)
         g.sgn = np.asarray(sgn, dtype=np.int8)
@@ -152,6 +152,13 @@ class SignedDigraph:
                                           self.sgn))
 
     # -- string-facing convenience -------------------------------------------
+
+    @property
+    def index(self) -> dict[str, int]:
+        # only the id-facing lookups read it, and `analyze` makes none
+        if self._index is None:
+            self._index = dict(zip(self.ids, range(len(self.ids))))
+        return self._index
 
     @property
     def nodes(self) -> set[str]:
@@ -225,24 +232,33 @@ _CANCELLING = (0b0111, 0b1011)
 
 def dyad_table(graph: SignedDigraph,
                rank: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The connected dyads as (pairs, codes): the sorted keys lo * n + hi
-    (lo < hi) of the pairs joined by an edge, and the 4-bit code of each:
-    bit 0 set when lo -> hi is an edge, bit 1 when hi -> lo is, and bits 2
-    and 3 when those edges are negative.  lo and hi are node indices, or
-    their `rank`s when a permutation of the indices is given.  One sort of
-    the edges tagged with their pair and their own bits, then one OR per
-    pair."""
+    """The connected dyads as (pairs, codes): the sorted int64 keys
+    lo * n + hi (lo < hi) of the pairs joined by an edge, and the 4-bit
+    uint8 code of each: bit 0 set when lo -> hi is an edge, bit 1 when
+    hi -> lo is, and bits 2 and 3 when those edges are negative.  lo and hi
+    are node indices, or their `rank`s when a permutation of the indices is
+    given.  One in-place sort of the edges tagged with their pair and their
+    own bits, then one OR per pair."""
     src, dst = graph.src, graph.dst
     if rank is not None:
         src, dst = rank[src], rank[dst]
     forward = src < dst
-    lo, hi = np.where(forward, src, dst), np.where(forward, dst, src)
-    negative = (graph.sgn < 0).astype(np.int64)
-    bits = np.where(forward, 1 | negative << 2, 2 | negative << 3)
-    tagged = np.sort((lo * graph.n_nodes + hi) << 4 | bits)
-    pairs = tagged >> 4
-    first = np.flatnonzero(np.diff(pairs, prepend=-1))
-    return pairs[first], np.bitwise_or.reduceat(tagged & 15, first)
+    tagged = np.minimum(src, dst, dtype=np.int64)
+    tagged *= graph.n_nodes
+    tagged += np.maximum(src, dst)
+    tagged <<= 4
+    # an edge's own bits: 1 forward or 2 back, and the same bit two places
+    # up when the edge is negative
+    tagged |= np.where(forward, 1, 2) * np.where(graph.sgn < 0, 5, 1)
+    tagged.sort()
+    bits = tagged.astype(np.uint8)
+    bits &= 15
+    pairs = np.right_shift(tagged, 4, out=tagged)
+    new = np.empty(len(pairs), dtype=bool)
+    new[:1] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    return pairs[first], np.bitwise_or.reduceat(bits, first)
 
 
 def skeleton_csr(n_nodes: int, src: np.ndarray,
@@ -266,19 +282,24 @@ def skeleton_csr(n_nodes: int, src: np.ndarray,
 _REGULAR_BYTES = bytes([9, 10, *range(33, 35), *range(36, 256)])
 
 
-def _read_text(source) -> str:
-    """The whole input as one string, from a path, bytes, or a binary or
-    text stream.  Paths and bytes are decoded as utf-8-sig, which drops a
-    leading byte-order mark, and text loses one leading mark too, so it
-    joins no node id."""
+def _read(source) -> bytes | str:
+    """The whole input, read once: bytes from a path, bytes or a binary
+    stream, and str from a text stream."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
-            source = fh.read()
-    elif not isinstance(source, bytes):
-        source = source.read()  # a binary or a text stream
+            return fh.read()
     if isinstance(source, bytes):
-        return source.decode("utf-8-sig")
-    return source.removeprefix("\ufeff")
+        return source
+    return source.read()
+
+
+def _decode(data: bytes | str) -> str:
+    """The input as one string.  Bytes are decoded as utf-8-sig, which drops
+    a leading byte-order mark, and text loses one leading mark too, so it
+    joins no node id."""
+    if isinstance(data, bytes):
+        return data.decode("utf-8-sig")
+    return data.removeprefix("\ufeff")
 
 
 def load_edge_records(source, fmt: str) -> EdgeColumns:
@@ -292,22 +313,24 @@ def load_edge_records(source, fmt: str) -> EdgeColumns:
         signed-matrix: square whitespace/comma separated integer matrix,
                        rows are senders; zero cells produce no record
 
-    The input is read once into one string.  A regular tsv-sign text is
-    split in one pass over its UTF-8 bytes, which also interns ids of up to
-    8 bytes (`_split_regular`); every other text goes through the per-line
-    parsers, which split lines at LF, CR and CRLF whatever the kind of
-    source.
+    The input is read once.  A regular tsv-sign text is split in one pass
+    over its UTF-8 bytes, which also interns ids of up to 8 bytes
+    (`_split_regular`); every other text is decoded into one string and
+    goes through the per-line parsers, which split lines at LF, CR and CRLF
+    whatever the kind of source.
     """
     if fmt not in INPUT_FORMATS:
         raise FormatError(f"unknown input format {fmt!r}")
-    text = _read_text(source)
+    data = _read(source)
     if fmt == "tsv-sign":
-        columns = _split_regular(text)
+        columns = _split_regular(data)
         if columns is not None:
             return columns
+    lines = _lines(_decode(data))
+    del data  # the lines hold the decoded text alone
     if fmt == "signed-matrix":
-        return _parse_matrix(_lines(text))
-    return _parse_lines(_lines(text), fmt)
+        return _parse_matrix(lines)
+    return _parse_lines(lines, fmt)
 
 
 def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
@@ -322,8 +345,9 @@ def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
         start = stop
 
 
-def _split_regular(text: str) -> EdgeColumns | None:
-    """The columns of a regular tsv-sign text, or None for any other text.
+def _split_regular(data: bytes | str) -> EdgeColumns | None:
+    """The columns of a regular tsv-sign input, bytes as `_read` returns
+    them or text, or None for any other input.
 
     Regular means: every line is 'id TAB id TAB sign' ending in LF (the last
     line may lack it), no id is empty, every sign is literally 1, +1 or -1,
@@ -333,53 +357,33 @@ def _split_regular(text: str) -> EdgeColumns | None:
     ids are interned on their UTF-8 bytes (`_intern_fields`); otherwise as
     strings, as the loop does.
     """
-    data = text.encode("utf-8", "surrogatepass")
-    if not data or data.translate(None, _REGULAR_BYTES):
+    if isinstance(data, str):
+        text = data.removeprefix("\ufeff")
+        data, skip = text.encode("utf-8", "surrogatepass"), 0
+    else:
+        # decoded, which checks the UTF-8 as the per-line parsers would,
+        # only when some byte is not ASCII
+        text = None if data.isascii() else _decode(data)
+        skip = 3 if data.startswith(b"\xef\xbb\xbf") else 0
+    if len(data) == skip or data.translate(None, _REGULAR_BYTES):
         return None
     # str.strip also removes non-ASCII whitespace
-    if not text.isascii() and re.search(r"[^\S\t\n]", text):
+    if not data.isascii() and re.search(r"[^\S\t\n]", text):
         return None
-    # a final LF, then 8 zero bytes, so a word read at any field start stays
-    # inside the buffer
-    raw = np.frombuffer(data + b"\n" * (not data.endswith(b"\n")) + bytes(8),
-                        dtype=np.uint8)
-    split = _regular_fields(raw)
+    split = _regular_fields(data, skip)
     if split is None:
         return None
-    starts, lengths, weights = split
-    if lengths.max() > 8:
+    weights, words = split
+    if words is None:
+        if text is None:
+            text = data.decode("ascii")
         # a final LF leaves one empty field after the last line
         fields, stop = text.replace("\n", "\t").split("\t"), 3 * len(weights)
         return EdgeColumns.from_records(fields[0:stop:3], fields[1:stop:3],
                                         weights)
-    ids, positions = _intern_fields(raw, starts, lengths)
+    ids, positions = _intern_fields(words)
     sources, targets = np.split(positions, 2)
     return EdgeColumns(ids, sources, targets, weights)
-
-
-def _regular_fields(raw: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The id fields of the tsv-sign bytes `raw` (which end in LF and 8 zero
-    bytes), every line's source and then every line's target, as their
-    starts and lengths, and the weight of each line; None unless every line
-    is 'id TAB id TAB sign' LF with non-empty ids and a sign 1, +1 or -1."""
-    # TAB and LF bytes, which never sit inside a multi-byte UTF-8 character:
-    # each line must hold TAB TAB LF with a non-empty field before each
-    cuts = np.flatnonzero(raw[:-8] < 11)
-    if (len(cuts) % 3
-            or np.any(raw[cuts].reshape(-1, 3) != (9, 9, 10))
-            or np.any(np.diff(cuts, prepend=-1) < 2)):
-        return None
-    tab1, tab2, end = cuts.reshape(-1, 3).T
-    # the sign is '1' after nothing, '+' or '-'
-    wide, lead = end - tab2 > 2, raw[tab2 + 1]
-    if (np.any(end - tab2 > 3) or np.any(raw[end - 1] != ord("1"))
-            or np.any(wide & (lead != ord("+")) & (lead != ord("-")))):
-        return None
-    first = np.concatenate([[0], end[:-1] + 1])
-    return (np.concatenate([first, tab1 + 1]),
-            np.concatenate([tab1 - first, tab2 - tab1 - 1]),
-            np.where(wide & (lead == ord("-")), -1.0, 1.0))
 
 
 #: _KEEP[k] keeps the first k bytes of a big-endian 8-byte word
@@ -387,22 +391,82 @@ _KEEP = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)],
                  dtype=np.uint64)
 
 
-def _intern_fields(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-                   ) -> tuple[list[str], np.ndarray]:
-    """The distinct fields of the UTF-8 bytes `raw`, none over 8 bytes long,
-    decoded and sorted, and the position of each field among them.
+def _regular_fields(data: bytes, skip: int
+                    ) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """The weight of each line of the tsv-sign bytes `data[skip:]` and, when
+    no id is over 8 bytes, the id fields as words: every line's source and
+    then every line's target, each read as a big-endian word from its start
+    with the bytes past its end zeroed.  None unless every line is 'id TAB
+    id TAB sign' LF, the last LF optional, with non-empty ids and a sign 1,
+    +1 or -1.
 
-    `raw` ends in 8 zero bytes.  A field is read as a big-endian word from
-    its start, with the bytes past its end zeroed.  No field holds a zero
-    byte, so the words compare as the bytes do, UTF-8 byte order is the str
-    order of the decoding, and a word's bytes up to its first zero byte are
-    the field.
+    The bytes are copied once, with a final LF and 8 zero bytes, so a word
+    read at any field start stays inside the copy.  Fields are cut from it
+    as starts and lengths, 32-bit when the copy is under 2 GiB, which are
+    dropped with the copy on return.
     """
+    size = len(data) - skip
+    raw = np.zeros(size + (not data.endswith(b"\n")) + 8, dtype=np.uint8)
+    raw[:size] = np.frombuffer(data, np.uint8, offset=skip)
+    raw[-9] = ord("\n")  # the text's own last LF, or one added
+    # TAB and LF bytes, which never sit inside a multi-byte UTF-8 character:
+    # each line must hold TAB TAB LF
+    cuts = np.flatnonzero(raw[:-8] < 11)
+    if len(cuts) % 3 or np.any(raw[cuts].reshape(-1, 3) != (9, 9, 10)):
+        return None
+    tab1, tab2, end = cuts.reshape(-1, 3).T
+    # the sign is '1' after nothing, '+' or '-', so it is never empty
+    wide, lead = end - tab2 > 2, raw[tab2 + 1]
+    if (np.any(end - tab2 > 3) or np.any(raw[end - 1] != ord("1"))
+            or np.any(wide & (lead != ord("+")) & (lead != ord("-")))):
+        return None
+    weights = np.where(wide & (lead == ord("-")), -1.0, 1.0)
+    m = len(end)
+    offset = np.int32 if len(raw) < 1 << 31 else np.int64
+    starts, lengths = np.empty(2 * m, offset), np.empty(2 * m, offset)
+    starts[0] = 0
+    np.add(end[:-1], 1, out=starts[1:m])
+    np.add(tab1, 1, out=starts[m:])
+    np.subtract(tab1, starts[:m], out=lengths[:m])
+    np.subtract(tab2, starts[m:], out=lengths[m:])
+    del cuts, tab1, tab2, end, wide, lead  # the words need the room
+    if lengths.min() < 1:
+        return None
+    if lengths.max() > 8:
+        return weights, None
     windows = np.ndarray((len(raw) - 7,), ">u8", raw, strides=(1,))
-    words, positions = np.unique(_KEEP[lengths] & windows[starts],
-                                 return_inverse=True)
+    words = windows[starts]
+    # in native byte order, in place, then cut to the fields
+    words = words.byteswap(inplace=True).view(words.dtype.newbyteorder())
+    words &= _KEEP[lengths]
+    return weights, words
+
+
+def _intern_fields(words: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct UTF-8 fields of the `words` that `_regular_fields`
+    reads, decoded and sorted, and the position of each field among them.
+
+    No field holds a zero byte, so the words compare as the bytes do, UTF-8
+    byte order is the str order of the decoding, and a word's bytes up to
+    its first zero byte are the field.  One argsort ranks the words: a
+    field's position is the number of new words up to its place in the
+    sorted order, scattered back into the words' own buffer.
+    """
+    order = np.argsort(words)
+    ranked = words[order]
+    new = np.empty(len(ranked), dtype=bool)
+    new[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
     # an S8 item drops the zero bytes that end it
-    text = b"\t".join(words.astype(">u8").view("S8").tolist())
+    text = b"\t".join(ranked[new].astype(">u8").view("S8").tolist())
+    # counted in place in the sorted words' buffer: cumsum would first copy
+    # the flags to int64
+    new[0] = False
+    ranks = ranked.view(np.int64)
+    ranks[:] = new
+    np.cumsum(ranks, out=ranks)
+    positions = words.view(np.int64)
+    positions[order] = ranks
     return text.decode("utf-8", "surrogatepass").split("\t"), positions
 
 
@@ -578,8 +642,8 @@ def preprocess(graph: SignedDigraph,
         degree = (np.bincount(src[live], minlength=n)
                   + np.bincount(dst[live], minlength=n))
         stack = np.flatnonzero(keep & (degree <= 1)).tolist()
-        degree = degree.tolist()
         if stack:
+            degree = degree.tolist()
             indptr, indices = skeleton_csr(n, src, dst)
         # peel one pendant at a time, so the work is bounded by the pruned
         # nodes and their edges however long a pendant chain is
@@ -635,15 +699,22 @@ def cancelled_pairs(graph: SignedDigraph) -> list[tuple[str, str]]:
 
 
 def dump_tsv(graph: SignedDigraph, target) -> None:
-    """Write the canonical dump: 'source TAB target TAB sign' per edge."""
-    # one concatenation per edge: 'u TAB' heads, and 'v TAB +1' tails
-    # followed by 'v TAB -1' tails
+    """Write the canonical dump: 'source TAB target TAB sign' per edge, to a
+    path or a text stream.
+
+    The text is joined from pieces made once per node, a 'u TAB' source
+    piece and 'v TAB +1' and 'v TAB -1' target pieces, which each edge picks
+    by position, so no string is made per edge."""
     ids, n = graph.ids, graph.n_nodes
-    heads = np.array([u + "\t" for u in ids], dtype=object)
-    tails = np.array([v + "\t+1\n" for v in ids] + [v + "\t-1\n" for v in ids],
-                     dtype=object)
-    text = "".join((heads[graph.src]
-                    + tails[graph.dst + n * (graph.sgn < 0)]).tolist())
+    pieces = np.array([u + "\t" for u in ids] + [v + "\t+1\n" for v in ids]
+                      + [v + "\t-1\n" for v in ids], dtype=object)
+    # each edge's source piece, then its target piece, as 32-bit positions
+    # when they fit
+    order = np.empty(2 * graph.n_edges,
+                     dtype=np.int32 if 3 * n < 1 << 31 else np.int64)
+    order[0::2] = graph.src
+    order[1::2] = graph.dst + n * (1 + (graph.sgn < 0))
+    text = "".join(pieces[order].tolist())
     own = isinstance(target, (str, os.PathLike))
     fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
     try:

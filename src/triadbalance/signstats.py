@@ -160,15 +160,16 @@ def _distance_sum(indptr: np.ndarray, indices: np.ndarray) -> int:
     # reduceat segment would yield its start element)
     columns, tail, tail_starts = _pull_plan(indptr, indices)
     per_sweep = 64 * _SWEEP_WORDS
+    # four row buffers for every sweep, reset in place
     pulled = np.empty((n, _SWEEP_WORDS), dtype=np.uint64)
-    gathered = np.empty_like(pulled)
+    gathered, frontier, unvisited = (np.empty_like(pulled) for _ in range(3))
     total = 0
     for first in range(0, n, per_sweep):
         sources = np.arange(min(per_sweep, n - first))
-        frontier = np.zeros((n, _SWEEP_WORDS), dtype=np.uint64)
+        frontier.fill(0)
         frontier[first + sources, sources // 64] = (
             np.uint64(1) << (sources % 64).astype(np.uint64))
-        unvisited = ~frontier
+        np.invert(frontier, out=unvisited)
         # ordered pairs (source, node) of this sweep not reached yet
         remaining = len(sources) * (n - 1)
         level = 0

@@ -1,5 +1,7 @@
-import pytest
+import importlib.util
 from pathlib import Path
+
+import pytest
 
 from triadbalance import SignedDigraph, build_graph, load_edge_records, preprocess
 
@@ -9,6 +11,18 @@ HIGHLAND_MATRIX = DATA_DIR / "highland" / "highland_tribes_matrix.txt"
 HIGHLAND_TSV = DATA_DIR / "highland" / "highland_tribes.tsv"
 BITCOIN_OTC = DATA_DIR / "bitcoin" / "soc-sign-bitcoinotc.csv"
 BITCOIN_ALPHA = DATA_DIR / "bitcoin" / "soc-sign-bitcoinalpha.csv"
+
+
+@pytest.fixture(scope="session")
+def hubs_text() -> bytes:
+    """The benchmark's hubs input at seed 42 (6000 nodes, 52,754 lines) as
+    tsv-sign bytes, from `bench/workloads.py`, which is loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", REPO_ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rows = workloads.hub_edges(6000, 8, 0.10, 0.3, 0.2, 8, 42).tolist()
+    return "".join(f"{u}\t{v}\t{s}\n" for u, v, s in rows).encode()
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 from itertools import permutations
 from math import comb
 from unittest import mock
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triadbalance import (TRANSITIVE_TYPES, TRIAD_TYPES, TRIPLES_PER_TYPE,
-                          SignedDigraph, build_report, census, classify_man,
-                          composition_directed, composition_undirected,
-                          enumerate_triads, metrics, overall_balance,
-                          scan_triads, transitive_triples, type_balance,
-                          undirected_balance)
+                          SignedDigraph, build_graph, build_report, census,
+                          classify_man, composition_directed,
+                          composition_undirected, enumerate_triads,
+                          load_edge_records, metrics, overall_balance,
+                          preprocess, scan_triads, transitive_triples,
+                          type_balance, undirected_balance)
 from triadbalance.cli import compare_report
 from triadbalance.errors import NonTransitiveTriadError
 from triadbalance.oracle import (_PATTERNS, ORACLE_MAX_NODES, brute_force,
@@ -203,6 +205,22 @@ def test_signature_collision_without_closing_edge():
     tallies = scan_triads(g)
     assert sum(tallies.census.values()) == 0
     _assert_tallies_match_oracle(g, tallies)
+
+
+def test_scan_memory_per_edge(hubs_text):
+    # 173k wedges, so a chunk of 2^18 would list them all at once
+    graph = preprocess(build_graph(load_edge_records(hubs_text, "tsv-sign")))
+    scan_triads(graph)
+    tracemalloc.start()
+    try:
+        scan_triads(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 71.5 bytes per edge: the 32-bit dyads with their wedge counts
+    # and signature bits, plus one chunk of wedges; 131.5 with 2^18 wedges
+    # a chunk
+    assert peak < 85 * graph.n_edges
 
 
 @pytest.mark.parametrize("view, args", [

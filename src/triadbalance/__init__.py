@@ -20,8 +20,8 @@ from .census import (TRANSITIVE_TYPES, TRIAD_TYPES, TRIPLES_PER_TYPE,
 from .errors import (FormatError, NonTransitiveTriadError, ParseError,
                      UndefinedResultError)
 from .graphs import (EdgeColumns, PreprocessConfig, SignedDigraph, build_graph,
-                     cancelled_pairs, dump_tsv, load_edge_records, load_tsv,
-                     preprocess, project_undirected)
+                     dump_tsv, load_edge_records, load_tsv, preprocess,
+                     project_undirected)
 from .oracle import OracleResult, brute_force, random_signed_digraph
 from .signstats import (CompositionTable, GraphMetrics, composition_directed,
                         composition_undirected, metrics)

@@ -282,8 +282,8 @@ class TriadTallies:
 def resolve_workers(requested: int | None = None) -> int:
     """Worker budget: the explicit request or the CPU count, capped by the
     CPUs this process may run on.  Nothing in the analysis reads it; it is
-    kept, with `cli.RunConfig.workers` and the manifest's "workers", because
-    the benchmark under `bench/` calls it and records it."""
+    kept, with `cli.RunConfig.workers`, because the benchmark under `bench/`
+    calls it and records it."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not available on every platform

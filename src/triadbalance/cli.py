@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, balance, oracle, signstats
-from .census import TriadTallies, census, resolve_workers, scan_triads
+from .census import TriadTallies, census, scan_triads
 from .errors import FormatError, ParseError, UndefinedResultError
 from .graphs import (INPUT_FORMATS, PreprocessConfig, SignedDigraph,
                      build_graph, dump_tsv, load_edge_records, preprocess)
@@ -44,8 +44,8 @@ class RunConfig:
     balance_mode: str = "type-mean"
     out_dir: str = "reports"
     emit: tuple[str, ...] = ("json", "csv")
-    #: recorded in the manifest through `resolve_workers` and read by
-    #: nothing else; kept because the benchmark under `bench/` sets it
+    #: read by nothing here; kept because the benchmark under `bench/`
+    #: sets it
     workers: int | None = None
 
     def validate(self) -> None:
@@ -232,7 +232,6 @@ def run(config: RunConfig) -> int:
             "balance_mode": config.balance_mode,
             "analyses": sorted(config.analyses),
             "emit": sorted(config.emit),
-            "workers": resolve_workers(config.workers),
         },
         "counts": {
             "before": {"nodes": built.n_nodes, "edges": built.n_edges},

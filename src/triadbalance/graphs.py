@@ -3,12 +3,13 @@
 Every input format parses into `EdgeColumns`: the sorted distinct node ids,
 and per record (in input order) the positions of its source and target
 among them and its weight.  `build_graph` aggregates and thresholds those
-into signs.  The input is read once.  A regular tsv-sign input is split
-into its columns in one pass over one padded copy of its UTF-8 bytes; when
-every id fits in 8 bytes, its ids are interned on those bytes, so only the
-distinct ids become strings.  Every other input is decoded into one string
-and goes through a per-line loop that splits lines at LF, CR and CRLF alike
-for paths, bytes and streams, and interns its id strings in Python.
+into signs.  The input is read once, as bytes; a text stream's text is
+encoded as UTF-8.  A regular tsv-sign input is split into its columns in
+one pass over one padded copy of those bytes; when every id fits in 8
+bytes, its ids are interned on those bytes, so only the distinct ids become
+strings.  Every other input goes through a per-line loop that reads the
+bytes through the standard UTF-8 decoder, splits lines at LF, CR and CRLF
+and interns its id strings in Python.
 Node ids are opaque strings everywhere at the API surface.  Internally each
 graph maps its ids to dense integer indices (sorted id order) and stores its
 edges once, as read-only source, target and sign arrays sorted by index
@@ -18,6 +19,7 @@ are built from the arrays when needed.
 """
 from __future__ import annotations
 
+import bisect
 import io
 import math
 import operator
@@ -119,6 +121,11 @@ class SignedDigraph:
             id_set.add(u)
             id_set.add(v)
         ids = tuple(sorted(id_set))
+        for u in ids:
+            # the canonical dump must read every id back as itself
+            if not u or u != u.strip() or "\t" in u or "\r" in u or "\n" in u:
+                raise ValueError(f"node id {u!r} is empty, padded or holds a "
+                                 f"TAB, CR or LF")
         index = dict(zip(ids, range(len(ids))))
         pair = np.array([index[u] * len(ids) + index[v]
                          for u, v, _ in edge_list], dtype=np.int64)
@@ -282,24 +289,14 @@ def skeleton_csr(n_nodes: int, src: np.ndarray,
 _REGULAR_BYTES = bytes([9, 10, *range(33, 35), *range(36, 256)])
 
 
-def _read(source) -> bytes | str:
-    """The whole input, read once: bytes from a path, bytes or a binary
-    stream, and str from a text stream."""
+def _read(source) -> bytes:
+    """The whole input, read once as bytes: from a path, bytes or a binary
+    stream as they are, and a text stream's text encoded as UTF-8."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             return fh.read()
-    if isinstance(source, bytes):
-        return source
-    return source.read()
-
-
-def _decode(data: bytes | str) -> str:
-    """The input as one string.  Bytes are decoded as utf-8-sig, which drops
-    a leading byte-order mark, and text loses one leading mark too, so it
-    joins no node id."""
-    if isinstance(data, bytes):
-        return data.decode("utf-8-sig")
-    return data.removeprefix("\ufeff")
+    data = source if isinstance(source, bytes) else source.read()
+    return data.encode("utf-8") if isinstance(data, str) else data
 
 
 def load_edge_records(source, fmt: str) -> EdgeColumns:
@@ -313,10 +310,11 @@ def load_edge_records(source, fmt: str) -> EdgeColumns:
         signed-matrix: square whitespace/comma separated integer matrix,
                        rows are senders; zero cells produce no record
 
-    The input is read once.  A regular tsv-sign text is split in one pass
-    over its UTF-8 bytes, which also interns ids of up to 8 bytes
-    (`_split_regular`); every other text is decoded into one string and
-    goes through the per-line parsers, which split lines at LF, CR and CRLF
+    The input is read once, as bytes (`_read`), and decoded as utf-8-sig.
+    A regular tsv-sign text is split in one pass over those bytes, which
+    also interns ids of up to 8 bytes (`_split_regular`); every other text
+    goes through the per-line parsers, which read it through the standard
+    UTF-8 decoder one chunk at a time and split lines at LF, CR and CRLF
     whatever the kind of source.
     """
     if fmt not in INPUT_FORMATS:
@@ -326,28 +324,19 @@ def load_edge_records(source, fmt: str) -> EdgeColumns:
         columns = _split_regular(data)
         if columns is not None:
             return columns
-    lines = _lines(_decode(data))
-    del data  # the lines hold the decoded text alone
+    # decoded whole once, before any line is parsed, so a decode error names
+    # its position in the input and wins over a parse error on an earlier line
+    data.decode("utf-8-sig")
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
+                             newline="")
     if fmt == "signed-matrix":
         return _parse_matrix(lines)
     return _parse_lines(lines, fmt)
 
 
-def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
-    """The lines of `text` with their ends, split at LF, CR and CRLF only,
-    as `io.StringIO(text, newline="")` does, but copying about `block`
-    characters at a time: a block ends after an LF, which ends a line
-    either way.  (`str.splitlines` also splits at form feeds and others.)"""
-    start = 0
-    while start < len(text):
-        stop = text.find("\n", start + block) + 1 or len(text)
-        yield from io.StringIO(text[start:stop], newline="")
-        start = stop
-
-
-def _split_regular(data: bytes | str) -> EdgeColumns | None:
-    """The columns of a regular tsv-sign input, bytes as `_read` returns
-    them or text, or None for any other input.
+def _split_regular(data: bytes) -> EdgeColumns | None:
+    """The columns of the regular tsv-sign input `data`, or None for any
+    other input.
 
     Regular means: every line is 'id TAB id TAB sign' ending in LF (the last
     line may lack it), no id is empty, every sign is literally 1, +1 or -1,
@@ -357,18 +346,14 @@ def _split_regular(data: bytes | str) -> EdgeColumns | None:
     ids are interned on their UTF-8 bytes (`_intern_fields`); otherwise as
     strings, as the loop does.
     """
-    if isinstance(data, str):
-        text = data.removeprefix("\ufeff")
-        data, skip = text.encode("utf-8", "surrogatepass"), 0
-    else:
-        # decoded, which checks the UTF-8 as the per-line parsers would,
-        # only when some byte is not ASCII
-        text = None if data.isascii() else _decode(data)
-        skip = 3 if data.startswith(b"\xef\xbb\xbf") else 0
+    skip = 3 if data.startswith(b"\xef\xbb\xbf") else 0
     if len(data) == skip or data.translate(None, _REGULAR_BYTES):
         return None
+    # decoded, which checks the UTF-8 as the per-line parsers would, only
+    # when some byte is not ASCII
+    text = None if data.isascii() else data.decode("utf-8-sig")
     # str.strip also removes non-ASCII whitespace
-    if not data.isascii() and re.search(r"[^\S\t\n]", text):
+    if text is not None and re.search(r"[^\S\t\n]", text):
         return None
     split = _regular_fields(data, skip)
     if split is None:
@@ -467,7 +452,7 @@ def _intern_fields(words: np.ndarray) -> tuple[list[str], np.ndarray]:
     np.cumsum(ranks, out=ranks)
     positions = words.view(np.int64)
     positions[order] = ranks
-    return text.decode("utf-8", "surrogatepass").split("\t"), positions
+    return text.decode("utf-8").split("\t"), positions
 
 
 def _parse_lines(lines: Iterable[str], fmt: str) -> EdgeColumns:
@@ -686,26 +671,25 @@ def project_undirected(graph: SignedDigraph) -> SignedDigraph:
                                       np.concatenate([sgn, sgn])[order])
 
 
-def cancelled_pairs(graph: SignedDigraph) -> list[tuple[str, str]]:
-    """Unordered pairs removed by the projection's sign-mismatch rule,
-    sorted (index order is id order)."""
-    pairs, codes = dyad_table(graph)
-    ids = graph.ids
-    lo, hi = np.divmod(pairs[np.isin(codes, _CANCELLING)], graph.n_nodes)
-    return [(ids[u], ids[v]) for u, v in zip(lo.tolist(), hi.tolist())]
-
-
 # -- canonical dump --------------------------------------------------------------
 
 
 def dump_tsv(graph: SignedDigraph, target) -> None:
     """Write the canonical dump: 'source TAB target TAB sign' per edge, to a
-    path or a text stream.
+    path or a text stream, which `load_tsv` reads back as the same edges.
+    Raises ValueError when an edge leaves an id that starts with '#'.
 
     The text is joined from pieces made once per node, a 'u TAB' source
     piece and 'v TAB +1' and 'v TAB -1' target pieces, which each edge picks
     by position, so no string is made per edge."""
     ids, n = graph.ids, graph.n_nodes
+    # ids are sorted, so those that start with '#' are one block, and a line
+    # starting with one would read back as a comment
+    first, stop = bisect.bisect_left(ids, "#"), bisect.bisect_left(ids, "$")
+    at = int(np.searchsorted(graph.src, first))
+    if at < graph.n_edges and graph.src[at] < stop:
+        raise ValueError(f"node id {ids[graph.src[at]]!r} starts with '#', "
+                         f"so its edges would read back as comments")
     pieces = np.array([u + "\t" for u in ids] + [v + "\t+1\n" for v in ids]
                       + [v + "\t-1\n" for v in ids], dtype=object)
     # each edge's source piece, then its target piece, as 32-bit positions
@@ -715,6 +699,10 @@ def dump_tsv(graph: SignedDigraph, target) -> None:
     order[0::2] = graph.src
     order[1::2] = graph.dst + n * (1 + (graph.sgn < 0))
     text = "".join(pieces[order].tolist())
+    if text.startswith("\ufeff"):
+        # a reader drops one leading byte-order mark, so the first id keeps
+        # its own
+        text = "\ufeff" + text
     own = isinstance(target, (str, os.PathLike))
     fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
     try:

@@ -58,6 +58,12 @@ def _canonical(edges) -> int:
 _CANON_CLASS = {_canonical(edges): label for label, edges in _PATTERNS.items()}
 assert len(_CANON_CLASS) == 16, "triad patterns must be pairwise non-isomorphic"
 
+#: the class of each 6-bit code of a labelled triple's edges
+_CLASS_OF_CODE = tuple(
+    _CANON_CLASS[_canonical([pair for pair, bit in _BITPOS.items()
+                             if code >> bit & 1])]
+    for code in range(64))
+
 
 @dataclass
 class OracleResult:
@@ -126,19 +132,17 @@ def brute_force(graph: SignedDigraph) -> OracleResult:
     comp_dir = {"+++": 0, "+--": 0, "++-": 0, "---": 0}
     comp_by_neg = ("+++", "++-", "+--", "---")
 
-    for a, b, c in combinations(ids, 3):
-        local = []
-        for x, y in permutations((a, b, c), 2):
-            if (x, y) in sign:
-                mapping = {a: 0, b: 1, c: 2}
-                local.append((mapping[x], mapping[y]))
-        label = _CANON_CLASS[_canonical(local)]
+    for triple in combinations(ids, 3):
+        code = 0
+        for (x, y), bit in _BITPOS.items():
+            if (triple[x], triple[y]) in sign:
+                code |= 1 << bit
+        label = _CLASS_OF_CODE[code]
         census[label] = census.get(label, 0) + 1
-        connected_dyads = sum(
-            1 for x, y in ((a, b), (a, c), (b, c))
-            if (x, y) in sign or (y, x) in sign)
-        if connected_dyads < 2:
+        # the dyads (a, b), (a, c) and (b, c) hold bits 0-1, 2-3 and 4-5
+        if sum(1 for dyad in (0b11, 0b1100, 0b110000) if code & dyad) < 2:
             continue
+        a, b, c = triple
         sign_lists = []
         if label in _TRANSITIVE:
             balanced = 0

@@ -104,6 +104,41 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _bad_byte_input(fmt: str, bad_line_2: bool) -> tuple[bytes, int]:
+    """An input of the format with one byte that is not UTF-8 more than
+    32 KiB in, after several whole decoder chunks, and that byte's
+    position; line 2's weight is malformed too if `bad_line_2`."""
+    line = "n{0},n{1},{2},17\n" if fmt == "csv-rating" else "n{0}\tn{1}\t{2}\n"
+    lines = [line.format(i, i + 1, "-1" if i % 3 else "1")
+             for i in range(3000)]
+    if bad_line_2:
+        lines[1] = "a,b,much\n"
+    head = "".join(lines).encode()[:32781]
+    head = head[:head.rindex(b"\n") + 1]
+    return head + b"\xff" + line.format(1, 2, 1).encode() * 50, len(head)
+
+
+@pytest.mark.parametrize("fmt,bad_line_2", [
+    ("csv-rating", False), ("tsv-sign", False), ("csv-rating", True),
+], ids=["csv-rating", "regular-tsv-sign", "csv-rating-bad-weight-on-line-2"])
+def test_bad_byte_exits_2_naming_its_position_in_the_input(
+        tmp_path, capsys, fmt, bad_line_2):
+    # the whole input is decoded before any line is parsed, so the error
+    # names the byte's position in the file and wins over a parse error on
+    # an earlier line
+    data, position = _bad_byte_input(fmt, bad_line_2)
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    rc = main(["analyze", "--input", str(path), "--format", fmt,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: cannot read input {path}: 'utf-8' codec can't "
+                   f"decode byte 0xff in position {position}: invalid start "
+                   f"byte\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_tsv_weight_other_than_sign_exits_2(tmp_path, capsys):
     data = _write(tmp_path, "weights.tsv", "a\tb\t+1\nb\tc\t5\n")
     rc = main(["analyze", "--input", str(data), "--out", str(tmp_path / "out")])
@@ -416,7 +451,7 @@ def test_report_json_schema(tmp_path):
                                 "prune_pendants": None,
                                 "keep_component": None,
                                 "balance_mode": None, "analyses": [None],
-                                "emit": [None], "workers": None},
+                                "emit": [None]},
                      "counts": {"before": {"nodes": None, "edges": None},
                                 "after": {"nodes": None, "edges": None}},
                      "reports": [None]},

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triadbalance import (EdgeColumns, PreprocessConfig, SignedDigraph,
-                          build_graph, cancelled_pairs, dump_tsv,
-                          load_edge_records, load_tsv, metrics, preprocess,
-                          project_undirected, scan_triads)
+                          build_graph, dump_tsv, load_edge_records, load_tsv,
+                          metrics, preprocess, project_undirected,
+                          scan_triads)
 from triadbalance.errors import FormatError, ParseError
-from triadbalance.graphs import (AGGREGATE_RULES, _lines, _parse_lines,
-                                 _parse_matrix, _split_regular, find_keys)
+from triadbalance.graphs import (AGGREGATE_RULES, _parse_lines, _parse_matrix,
+                                 _split_regular, find_keys)
 from triadbalance.oracle import random_signed_digraph
 
 
@@ -94,6 +94,14 @@ def test_every_source_kind_splits_lines_alike(wrap, newline):
     data = newline.join(["a\tb\t1", "b\tc\t1", "c\ta\t-1", ""]).encode()
     cols = load_edge_records(wrap(data), "tsv-sign")
     assert _lists(cols) == (["a", "b", "c"], ["b", "c", "a"], [1.0, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("fmt", ["csv-rating", "tsv-sign"])
+def test_text_stream_with_a_lone_surrogate_raises(fmt):
+    # a text stream's text is encoded as UTF-8, which cannot hold one
+    line = ("," if fmt == "csv-rating" else "\t").join(["a\ud800", "b", "1"])
+    with pytest.raises(UnicodeEncodeError):
+        load_edge_records(io.StringIO(line + "\n"), fmt)
 
 
 def test_parse_error_carries_line_number():
@@ -184,7 +192,7 @@ def test_regular_split_equals_the_line_loop():
                                              "tsv-sign"))
         assert _outcome(lambda: load_edge_records(data, "tsv-sign")) == loop, text
         if not odd_lines and text:
-            assert _split_regular(text) is not None, text
+            assert _split_regular(data) is not None, text
 
 
 #: characters that str.splitlines takes for line ends but io does not
@@ -219,15 +227,34 @@ def _line_loop_text(rng, fmt):
     return "".join(line + end for line, end in zip(lines, ends))
 
 
+#: per format, a record line whose first character is left open, and a
+#: malformed line
+_STRADDLING = {"csv-rating": ("{}x,y,-2\n", "a,b,much\n"),
+               "tsv-sign": ("{}x\ty\t-1\n", "a\tb\t5\n"),
+               "signed-matrix": ("{}0 1\n1 0\n", "0 x\n")}
+
+
+def _straddling_texts(fmt):
+    """Texts of over 8 KiB: a comment line, whose end (CR, CRLF or LF) and
+    the next line's first character, multi-byte or not, sit at each byte
+    from 8180 to 8199, around the decoder's 8,192-byte chunks; half of them
+    end in a malformed line, whose error counts the line ends before it."""
+    record, bad = _STRADDLING[fmt]
+    firsts = (["\u3000", "\x85"] if fmt == "signed-matrix"
+              else ["", "\u00e9", "\u4e2d", "\U0001f600"])
+    for at in range(8180, 8200):
+        for end in ("\r", "\r\n", "\n"):
+            for first in firsts:
+                line = record.format(first)
+                yield from ("#" + "x" * (at - 1) + end + line + tail
+                            for tail in ("", bad))
+
+
 @pytest.mark.parametrize("fmt", ["csv-rating", "tsv-sign", "signed-matrix"])
 def test_line_loop_splits_lines_as_io_does(fmt):
     rng = np.random.default_rng(7)
-    for _ in range(300):
-        text = _line_loop_text(rng, fmt)
-        want = list(io.StringIO(text, newline=""))
-        # blocks of 1-3 characters cut almost every text at every line
-        for block in (1 << 16, 1, 2, 3):
-            assert list(_lines(text, block)) == want
+    texts = [_line_loop_text(rng, fmt) for _ in range(300)]
+    for text in [*texts, *_straddling_texts(fmt)]:
         stream = io.StringIO(text, newline="")
         want = _outcome(lambda: _parse_matrix(stream) if fmt == "signed-matrix"
                         else _parse_lines(stream, fmt))
@@ -245,7 +272,7 @@ def test_regular_text_with_a_very_long_id_stays_on_the_split():
     # ids over 8 bytes are interned as strings, so one 4000-byte id costs no
     # more than its own bytes
     text = _long_id_text(1000) + "y" * 4000 + "\tx1\t-1\n"
-    split = _split_regular(text)
+    split = _split_regular(text.encode())
     assert split is not None
     loop = _parse_lines(io.StringIO(text, newline=""), "tsv-sign")
     assert _lists(split) == _lists(loop)
@@ -302,8 +329,8 @@ def test_regular_split_hands_over_on_any_whitespace():
     spaces = [c for c in map(chr, range(0x3001)) if c.isspace()]
     for c in spaces:
         if c not in "\t\n":
-            assert _split_regular(f"a{c}\tb\t1\n") is None, hex(ord(c))
-            assert _split_regular(f"a\tb\t1{c}\n") is None, hex(ord(c))
+            for text in (f"a{c}\tb\t1\n", f"a\tb\t1{c}\n"):
+                assert _split_regular(text.encode()) is None, hex(ord(c))
 
 
 def test_matrix_not_square():
@@ -616,6 +643,35 @@ def test_dump_rebuild_round_trip(seed):
     assert set(rebuilt.edge_items()) == set(g.edge_items())
 
 
+def _read_back(edges):
+    """The edges of the graph on `edges` as its dump reads back, or the
+    message of the ValueError that refuses the graph or its dump."""
+    try:
+        g = SignedDigraph(edges)
+        buf = io.StringIO()
+        dump_tsv(g, buf)
+    except ValueError as exc:
+        return str(exc)
+    assert list(load_tsv(io.StringIO(buf.getvalue())).edge_items()) == \
+        list(g.edge_items())
+    return None
+
+
+@pytest.mark.parametrize("odd", ["#a", "# a", "#", "a#", " a", "a ", "a\xa0",
+                                 "\u3000a", "", "a\tb", "a\rb", "a\nb",
+                                 "a\x85b", "a\vb", "\ufeffa"])
+def test_dump_reads_back_every_id_or_refuses_it(odd):
+    # the odd id in a triangle, and as the source of the dump's first line
+    for edges in ([(odd, "b", 1), ("b", "c", 1), (odd, "c", -1)],
+                  [(odd, "\U0001f600", 1)]):
+        refused = _read_back(edges)
+        assert refused is None or repr(odd) in refused
+
+
+def test_dump_reads_back_a_hash_id_that_is_only_a_target():
+    assert _read_back([("a", "#x", 1), ("b", "#x", -1), ("a", "b", 1)]) is None
+
+
 def test_pickle_round_trip_sends_arrays_only():
     g = random_signed_digraph(60, 0.1, 0.4, 7)
     data = pickle.dumps(g)
@@ -643,7 +699,7 @@ def test_projection_mismatch_cancels():
     g = SignedDigraph([("u", "v", 1), ("v", "u", -1)])
     p = project_undirected(g)
     assert not p.has_edge("u", "v")
-    assert cancelled_pairs(g) == [("u", "v")]
+    assert scan_triads(g).cancelled == [("u", "v")]
 
 
 @given(seed=st.integers(0, 10**6))
@@ -688,7 +744,6 @@ def test_cancelled_pairs_match_reference(seed):
     signs = _signs(g)
     want = sorted({(min(u, v), max(u, v)) for (u, v), s in signs.items()
                    if signs.get((v, u), s) != s})
-    assert cancelled_pairs(g) == want
     assert scan_triads(g).cancelled == want
     # a kept pair takes the sign of its edges, in both directions
     assert _signs(project_undirected(g)) == {

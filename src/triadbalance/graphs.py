@@ -111,7 +111,7 @@ class SignedDigraph:
     def __new__(cls, edges: Iterable[tuple[str, str, int]] = (),
                 nodes: Iterable[str] = ()):
         edge_list = [(str(u), str(v), s) for u, v, s in edges]
-        id_set = set(nodes)
+        id_set = set(map(str, nodes))
         for u, v, s in edge_list:
             if u == v:
                 raise ValueError(f"self-loop {u!r} not allowed")

@@ -36,6 +36,13 @@ def test_triad_balance_completely_balanced_030T():
     assert tb.classification == "completely_balanced"
 
 
+def test_triad_balance_completely_imbalanced_030T():
+    g = SignedDigraph([("a", "b", 1), ("b", "c", -1), ("a", "c", 1)])
+    tb = triad_balance(g, next(iter(enumerate_triads(g))))
+    assert (tb.balanced_triples, tb.total_triples) == (0, 1)
+    assert tb.classification == "completely_imbalanced"
+
+
 def test_triad_balance_300_all_positive():
     g = SignedDigraph([(u, v, 1) for u, v in permutations("abc", 2)])
     tb = triad_balance(g, next(iter(enumerate_triads(g))))

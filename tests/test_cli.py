@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from math import comb
@@ -9,12 +10,16 @@ from pathlib import Path
 import pytest
 
 import triadbalance
+import triadbalance.crosscheck
 import triadbalance.oracle
 from triadbalance import load_tsv
 from triadbalance.census import (CLASSIFICATIONS, TRIAD_TYPES,
                                  resolve_workers)
 from triadbalance.cli import RunConfig, main, run
 from triadbalance.signstats import COMPOSITION_KEYS, METRIC_BASIS
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+HIGHLAND = REPO_ROOT / "data" / "highland"
 
 TRIANGLE_TSV = """\
 a\tb\t+1
@@ -161,6 +166,21 @@ def test_non_finite_input_exits_2_naming_line(tmp_path, capsys, fmt, text):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("fmt,text,message", [
+    ("csv-rating", "a,b\n", "line 1: expected 3 or 4 comma fields, got 2"),
+    # regular but for the empty id, so the bulk split hands it to the loop
+    ("tsv-sign", "\tb\t1\nb\tc\t1\n", "line 1: empty node id"),
+], ids=["csv-two-fields", "tsv-empty-id"])
+def test_malformed_line_exits_2_with_its_message(tmp_path, capsys, fmt, text,
+                                                 message):
+    data = _write(tmp_path, "input.txt", text)
+    rc = main(["analyze", "--input", str(data), "--format", fmt,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_import_leaves_scipy_out():
     src = Path(triadbalance.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -192,6 +212,8 @@ def test_directory_input_exits_2(tmp_path, capsys):
     ["analyze", "--input", "{tsv}", "--threshold", "nan", "--out", "{out}"],
     ["analyze", "--input", "{tsv}", "--threshold", "inf", "--out", "{out}"],
     ["analyze", "--input", "{tsv}", "--emit", ",", "--out", "{out}"],
+    ["analyze", "--input", "{tsv}", "--analyses", ",", "--out", "{out}"],
+    ["analyze", "--input", "{tsv}", "--analyses", "bogus", "--out", "{out}"],
     ["oracle-check", "--input", "{tmp}/missing.tsv"],
     ["oracle-check", "--input", "{matrix}"],
     ["oracle-check", "--n", "-1"],
@@ -201,10 +223,10 @@ def test_directory_input_exits_2(tmp_path, capsys):
     ["gen-random", "--n", "-1", "--edge-prob", "0.2", "--out", "{out}"],
     ["analyze", "--input", "{csv}", "--format", "csv-rating",
      "--out", "{out}"],
-], ids=["threshold-nan", "threshold-inf", "empty-emit",
-        "oracle-missing-input", "oracle-matrix-as-tsv", "oracle-negative-n",
-        "gen-edge-prob", "gen-missing-out-dir", "gen-negative-n",
-        "csv-tab-in-id"])
+], ids=["threshold-nan", "threshold-inf", "empty-emit", "empty-analyses",
+        "unknown-analysis", "oracle-missing-input", "oracle-matrix-as-tsv",
+        "oracle-negative-n", "gen-edge-prob", "gen-missing-out-dir",
+        "gen-negative-n", "csv-tab-in-id"])
 def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, argv):
     paths = {"tmp": tmp_path, "out": tmp_path / "out",
              "tsv": _write(tmp_path, "g.tsv", TRIANGLE_TSV),
@@ -214,6 +236,17 @@ def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, argv):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change", [{"balance_mode": "x"},
+                                    {"emit": ("xml",)}],
+                         ids=["balance-mode", "emit"])
+def test_bad_run_config_exits_2(tmp_path, capsys, change):
+    data = _write(tmp_path, "g.tsv", TRIANGLE_TSV)
+    out = tmp_path / "out"
+    assert run(RunConfig(str(data), out_dir=str(out), **change)) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -327,6 +360,33 @@ def test_oracle_check_refuses_over_cap_n_before_drawing(monkeypatch, capsys):
         assert f"at most {cap} nodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,fmt", [
+    ("highland_tribes.tsv", "tsv-sign"),
+    ("highland_tribes_matrix.txt", "signed-matrix"),
+])
+def test_oracle_check_of_an_input_file(capsys, name, fmt):
+    assert main(["oracle-check", "--input", str(HIGHLAND / name),
+                 "--format", fmt]) == 0
+    assert capsys.readouterr().out == "oracle-check OK: n=16 m=116\n"
+
+
+def test_oracle_check_refuses_an_over_cap_input_file(tmp_path, capsys):
+    data = tmp_path / "big.tsv"
+    assert main(["gen-random", "--n", "260", "--edge-prob", "0.05",
+                 "--seed", "1", "--out", str(data)]) == 0
+    assert main(["oracle-check", "--input", str(data)]) == 2
+    assert "error: oracle supports at most 200 nodes" in capsys.readouterr().err
+
+
+def test_oracle_check_mismatch_exits_1_naming_the_field(monkeypatch, capsys):
+    monkeypatch.setattr(triadbalance.crosscheck, "undirected_balance",
+                        lambda graph, tallies: (0, 0, 0, None))
+    rc = main(["oracle-check", "--n", "12", "--edge-prob", "0.3",
+               "--neg-prob", "0.4", "--seed", "3"])
+    assert rc == 1
+    assert capsys.readouterr().out.startswith("MISMATCH undirected: fast=")
+
+
 def test_matrix_format_via_cli(tmp_path):
     data = _write(tmp_path, "m.txt", "0 1 1\n1 0 1\n1 1 0\n")
     out = tmp_path / "out"
@@ -365,6 +425,23 @@ def test_console_entry_point(tmp_path):
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_run_tables_script_prints_the_highland_rows(tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(HIGHLAND, data / "highland")
+    package_root = str(Path(triadbalance.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root,
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "run_tables.py"),
+         "--data", str(data), "--out", str(tmp_path / "reports")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # one block for the TSV and one for the matrix
+    assert proc.stdout.count("\n  300      0.87   68\n") == 2
+    assert proc.stdout.count("non-partial=0.87 (59/9)") == 2
 
 
 def test_unwritable_out_dir_exits_2(tmp_path, monkeypatch, capsys):

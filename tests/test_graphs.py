@@ -333,6 +333,13 @@ def test_regular_split_hands_over_on_any_whitespace():
                 assert _split_regular(text.encode()) is None, hex(ord(c))
 
 
+def test_regular_looking_text_with_an_empty_id_goes_to_the_line_loop():
+    text = b"\tb\t1\nb\tc\t1\n"
+    assert _split_regular(text) is None
+    with pytest.raises(ParseError, match="line 1: empty node id"):
+        load_edge_records(text, "tsv-sign")
+
+
 def test_matrix_not_square():
     with pytest.raises(FormatError, match="square"):
         load_edge_records(io.StringIO("0 1 0\n1 0 1\n"), "signed-matrix")
@@ -407,6 +414,24 @@ def test_nonzero_threshold_is_a_cut_point():
 def test_duplicate_edge_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         SignedDigraph([("a", "b", 1), ("a", "b", 1)])
+
+
+def test_self_loop_rejected():
+    with pytest.raises(ValueError, match="self-loop 'a' not allowed"):
+        SignedDigraph([("a", "a", 1)])
+
+
+def test_node_ids_are_strings_however_given():
+    assert SignedDigraph([("a", "b", 1)], nodes=[3]).ids == ("3", "a", "b")
+    assert SignedDigraph([], nodes=[5]).ids == ("5",)
+    with pytest.raises(ValueError, match="padded"):
+        SignedDigraph([("a", "b", 1)], nodes=["c "])
+
+
+@pytest.mark.parametrize("knob", ["aggregate_rule", "keep_component"])
+def test_preprocess_config_rejects_unknown_choices(knob):
+    with pytest.raises(ValueError, match=f"unknown {knob} 'x'"):
+        PreprocessConfig(**{knob: "x"})
 
 
 def test_zero_sign_rejected():

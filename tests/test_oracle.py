@@ -1,12 +1,13 @@
+from dataclasses import fields, replace
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triadbalance import SignedDigraph
-from triadbalance.crosscheck import compare_with_oracle
-from triadbalance.oracle import brute_force, random_signed_digraph
+from triadbalance import SignedDigraph, crosscheck
+from triadbalance.crosscheck import _same, compare_with_oracle
+from triadbalance.oracle import OracleResult, brute_force, random_signed_digraph
 
 
 def test_rng_determinism():
@@ -78,3 +79,59 @@ def test_oracle_path_length_undefined_without_edges():
     g = SignedDigraph(nodes=["a", "b", "c"])
     assert brute_force(g).avg_path_length is None
     assert compare_with_oracle(g) == []
+
+
+def _corrupt(value):
+    """`value` with its first number or string changed, floats by more
+    than the comparison's tolerance."""
+    if value is None:
+        return 0.5
+    if isinstance(value, dict):
+        key = next(iter(value))
+        return {**value, key: _corrupt(value[key])}
+    if isinstance(value, (tuple, list)):
+        return type(value)([_corrupt(value[0]), *value[1:]])
+    if isinstance(value, str):
+        return value + "x"
+    return value + (1e-9 if isinstance(value, float) else 1)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(OracleResult)])
+def test_a_corrupted_figure_is_reported_by_its_field(monkeypatch, name):
+    g = random_signed_digraph(12, 0.4, 0.4, seed=5)
+    fast = crosscheck._fast_figures(g)
+    assert getattr(fast, name) not in (None, [], {}), name
+    corrupted = replace(fast, **{name: _corrupt(getattr(fast, name))})
+    monkeypatch.setattr(crosscheck, "_fast_figures", lambda graph: corrupted)
+    assert [m[0] for m in compare_with_oracle(g)] == [name]
+
+
+def test_a_triad_listing_mismatch_shows_five_entries_from_the_first_change(
+        monkeypatch):
+    g = random_signed_digraph(12, 0.4, 0.4, seed=5)
+    fast = crosscheck._fast_figures(g)
+    triads = fast.triads[:3] + fast.triads[4:]  # the fourth goes missing
+    monkeypatch.setattr(crosscheck, "_fast_figures",
+                        lambda graph: replace(fast, triads=triads))
+    [(name, shown, reference)] = compare_with_oracle(g)
+    assert name == "triads"
+    assert shown == fast.triads[4:9]
+    assert reference == fast.triads[3:8]
+
+
+@pytest.mark.parametrize("a, b, same", [
+    (0.5, 0.5 + 1e-13, True),
+    (0.5, 0.5 + 1e-11, False),
+    ((3, 1, 2, 0.5), (3, 1, 2, 0.5 + 1e-13), True),
+    ((3, 1, 2, 0.5), (3, 2, 1, 0.5), False),
+    ((1, 2), (1, 2, 3), False),
+    ({"a": 1}, {"b": 1}, False),
+    ({"a": 1.0}, {"a": 1.0 - 1e-13}, True),
+    ([("a", "030T", ((1, 1, 1),))], [("a", "030T", ((1, 1, -1),))], False),
+    (None, 0.0, False),
+    (None, None, True),
+    ("030T", "030C", False),
+])
+def test_same_is_exact_but_for_float_rounding(a, b, same):
+    assert _same(a, b) is same
+    assert _same(b, a) is same

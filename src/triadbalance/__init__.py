@@ -16,7 +16,7 @@ from .balance import (BALANCE_MODES, BalanceReport, TriadBalance, TypeBalance,
 from .census import (TRANSITIVE_TYPES, TRIAD_TYPES, TRIPLES_PER_TYPE,
                      CensusTable, Triad, TriadTallies, Triple, census,
                      classify_man, enumerate_triads, scan_triads,
-                     transitive_triples)
+                     tallies_of, transitive_triples)
 from .errors import (FormatError, NonTransitiveTriadError, ParseError,
                      UndefinedResultError)
 from .graphs import (EdgeColumns, PreprocessConfig, SignedDigraph, build_graph,

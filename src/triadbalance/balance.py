@@ -8,10 +8,9 @@ three modes: the type-mean (unweighted mean over the per-type ratios of the
 types that occur), the triad-mean (mean of per-triad ratios), and the
 non-partial ratio (fraction of triads that are completely balanced).  The
 undirected counterpart scores each triangle of the projected graph by the
-product of its edge signs.  Every figure is a view of the tallies of one
-triangle pass (`census.scan_triads`): each function but `nonpartial_balance`
-takes the graph's pass as an optional `tallies` argument and makes the pass
-itself when none is given.
+product of its edge signs.  Every figure is a view of the tallies of the
+graph's one triangle pass, which `census.tallies_of` makes on first use and
+keeps with the graph.
 """
 from __future__ import annotations
 
@@ -20,8 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .census import (CLASSIFICATIONS, TRANSITIVE_TYPES, TRIPLES_PER_TYPE,
-                     Triad, TriadTallies, Triple, scan_triads,
-                     transitive_triples)
+                     Triad, Triple, tallies_of, transitive_triples)
 from .errors import UndefinedResultError
 from .graphs import SignedDigraph
 
@@ -67,19 +65,17 @@ def triad_balance(graph: SignedDigraph, triad: Triad) -> TriadBalance:
     return TriadBalance(triad, balanced, total, balanced / total, cls)
 
 
-def type_balance(graph: SignedDigraph,
-                 tallies: TriadTallies | None = None) -> list[TypeBalance]:
+def type_balance(graph: SignedDigraph) -> list[TypeBalance]:
     """Per-type triad counts and triple-weighted balance ratios.
 
     All triads of one type carry the same number of triples, so the
     triple-weighted ratio coincides with the mean of per-triad ratios
     within the type.
     """
-    if tallies is None:
-        tallies = scan_triads(graph)
+    tallies = tallies_of(graph)
     result = []
     for cls in TRANSITIVE_TYPES:
-        count = tallies.type_triads.get(cls, 0)
+        count = tallies.census.get(cls, 0)
         balanced = tallies.type_balanced.get(cls, 0)
         total = count * TRIPLES_PER_TYPE[cls]
         ratio = balanced / total if total else None
@@ -101,8 +97,7 @@ def aggregate_type_mean(entries: Iterable[tuple[float | None, int]]) -> float:
     return math.fsum(present) / len(present)
 
 
-def overall_balance(graph: SignedDigraph, mode: str = "type-mean",
-                    tallies: TriadTallies | None = None) -> float:
+def overall_balance(graph: SignedDigraph, mode: str = "type-mean") -> float:
     """Graph-level partial balance.
 
     type-mean: unweighted mean of per-type ratios over the occurring types.
@@ -110,7 +105,7 @@ def overall_balance(graph: SignedDigraph, mode: str = "type-mean",
     """
     if mode not in BALANCE_MODES:
         raise ValueError(f"unknown balance mode {mode!r}")
-    report = build_report(graph, tallies=tallies)
+    report = build_report(graph)
     if mode == "type-mean":
         return report.overall_type_mean
     return report.overall_triad_mean
@@ -124,8 +119,7 @@ def nonpartial_balance(graph: SignedDigraph) -> tuple[float, int, int]:
     return build_report(graph).nonpartial
 
 
-def undirected_balance(graph: SignedDigraph,
-                       tallies: TriadTallies | None = None
+def undirected_balance(graph: SignedDigraph
                        ) -> tuple[int, int, int, float | None]:
     """Triangle balance on the undirected projection of the digraph.
 
@@ -133,9 +127,7 @@ def undirected_balance(graph: SignedDigraph,
     positive.  Returns (triangle_count, balanced, imbalanced, ratio); the
     ratio is None when the projection has no triangles.
     """
-    if tallies is None:
-        tallies = scan_triads(graph)
-    und = tallies.undirected
+    und = tallies_of(graph).undirected
     total = sum(und.values())
     balanced = und["+++"] + und["+--"]
     ratio = balanced / total if total else None
@@ -185,28 +177,26 @@ class BalanceReport:
         return rows
 
 
-def build_report(graph: SignedDigraph, undirected: bool = False,
-                 tallies: TriadTallies | None = None) -> BalanceReport:
+def build_report(graph: SignedDigraph,
+                 undirected: bool = False) -> BalanceReport:
     """Single-pass balance report, with the undirected figures when
     `undirected` is set; raises when no transitive triad exists."""
-    if tallies is None:
-        tallies = scan_triads(graph)
-    transitive = sum(tallies.type_triads.values())
+    per_type = type_balance(graph)
+    transitive = sum(tb.triad_count for tb in per_type)
     if transitive == 0:
         raise UndefinedResultError("no transitive triads: balance undefined")
-    per_type = type_balance(graph, tallies)
     type_mean = aggregate_type_mean((tb.ratio, tb.triad_count) for tb in per_type)
     # every triad of a type has the same number of triples, so the per-triad
     # ratios of a type sum to its balanced triples over that number
-    triad_mean = math.fsum(
-        tallies.type_balanced.get(cls, 0) / TRIPLES_PER_TYPE[cls]
-        for cls in TRANSITIVE_TYPES) / transitive
-    balanced = tallies.classification["completely_balanced"]
+    triad_mean = math.fsum(tb.balanced_triples / TRIPLES_PER_TYPE[tb.type]
+                           for tb in per_type) / transitive
+    classification = tallies_of(graph).classification
+    balanced = classification["completely_balanced"]
     return BalanceReport(
         per_type=per_type,
         overall_type_mean=type_mean,
         overall_triad_mean=triad_mean,
         nonpartial=(balanced / transitive, balanced, transitive - balanced),
-        classification_counts={c: tallies.classification[c] for c in CLASSIFICATIONS},
-        undirected=undirected_balance(graph, tallies) if undirected else None,
+        classification_counts={c: classification[c] for c in CLASSIFICATIONS},
+        undirected=undirected_balance(graph) if undirected else None,
     )

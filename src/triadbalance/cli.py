@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, balance, oracle, signstats
-from .census import TriadTallies, census, scan_triads
+from .census import census, tallies_of
 from .errors import FormatError, ParseError, UndefinedResultError
 from .graphs import (INPUT_FORMATS, PreprocessConfig, SignedDigraph,
                      build_graph, dump_tsv, load_edge_records, preprocess)
@@ -90,13 +90,11 @@ def _load_preprocessed(
     return built, pre, len(records.weights), input_sha256
 
 
-def compare_report(graph: SignedDigraph,
-                   tallies: TriadTallies | None = None) -> dict:
+def compare_report(graph: SignedDigraph) -> dict:
     """Side-by-side directed-partial / directed-non-partial / undirected
     figures, plus the projection's cancellation and inflation artefacts."""
-    if tallies is None:
-        tallies = scan_triads(graph)
-    doc = balance.build_report(graph, True, tallies).to_json_dict()
+    tallies = tallies_of(graph)
+    doc = balance.build_report(graph, True).to_json_dict()
     # projected triangles are the digraph's triangles without a cancelled
     # pair; those of a non-transitive class are inflation by the projection
     undirected_only = [list(tri) for tri in tallies.undirected_only]
@@ -138,26 +136,24 @@ def _reports(config: RunConfig, graph: SignedDigraph) -> dict[str, object]:
     figure is undefined, such as balance without transitive triads."""
     analyses = set(config.analyses)
     docs: dict[str, tuple[dict, list]] = {}
-    tallies = scan_triads(graph)
 
     if "census" in analyses:
-        table = census(graph, tallies)
+        table = census(graph)
         docs["census"] = (
             asdict(table),
             [["triad_type", "count"]] + [list(r) for r in table.to_csv_rows()])
 
     if "balance" in analyses:
-        report = balance.build_report(
-            graph, "undirected-compare" in analyses, tallies)
+        report = balance.build_report(graph, "undirected-compare" in analyses)
         doc = report.to_json_dict()
         doc["mode"] = config.balance_mode
-        doc["overall_balance"] = balance.overall_balance(
-            graph, config.balance_mode, tallies)
+        doc["overall_balance"] = balance.overall_balance(graph,
+                                                         config.balance_mode)
         docs["balance"] = (doc, report.to_csv_rows())
 
     if "composition" in analyses:
-        table = signstats.composition_directed(graph, tallies)
-        und_table = signstats.composition_undirected(graph, tallies)
+        table = signstats.composition_directed(graph)
+        und_table = signstats.composition_undirected(graph)
         name = Path(config.input_path).stem
         docs["composition"] = (
             {"network": name, "directed": asdict(table),
@@ -166,12 +162,12 @@ def _reports(config: RunConfig, graph: SignedDigraph) -> dict[str, object]:
              table.to_csv_row(name), und_table.to_csv_row(name)])
 
     if "metrics" in analyses:
-        measured = signstats.metrics(graph, tallies)
+        measured = signstats.metrics(graph)
         docs["metrics"] = (asdict(measured) | {"basis": signstats.METRIC_BASIS},
                            measured.to_csv_rows())
 
     if "undirected-compare" in analyses:
-        doc = compare_report(graph, tallies)
+        doc = compare_report(graph)
         docs["compare"] = (doc, _compare_csv_rows(doc))
 
     reports: dict[str, object] = {}

@@ -1,6 +1,7 @@
 """Field-for-field comparison of the fast paths against the brute-force
 reference.  Used by the test suite and the oracle-check subcommand.  As in
-`analyze`, one `scan_triads` pass is handed to every function that takes it."""
+`analyze`, every figure reads the graph's one triangle pass, which the first
+figure makes."""
 from __future__ import annotations
 
 import math
@@ -8,7 +9,7 @@ from dataclasses import fields
 
 from .balance import (nonpartial_balance, overall_balance, type_balance,
                       undirected_balance)
-from .census import TRIAD_TYPES, census, enumerate_triads, scan_triads
+from .census import TRIAD_TYPES, census, enumerate_triads
 from .errors import UndefinedResultError
 from .graphs import SignedDigraph
 from .oracle import OracleResult, brute_force
@@ -26,25 +27,22 @@ def _ratio_or_none(fn, *args, **kwargs):
 
 def _fast_figures(graph: SignedDigraph) -> OracleResult:
     """Every figure of the oracle's, from the fast paths."""
-    tallies = scan_triads(graph)
     return OracleResult(
-        census=census(graph, tallies).counts,
+        census=census(graph).counts,
         triads=[(t.nodes, t.type, tuple(sorted(tr.signs for tr in t.triples)))
                 for t in enumerate_triads(graph)],
         type_balance={tb.type: (tb.triad_count, tb.balanced_triples,
                                 tb.total_triples)
-                      for tb in type_balance(graph, tallies)},
-        overall_type_mean=_ratio_or_none(overall_balance, graph, "type-mean",
-                                         tallies),
+                      for tb in type_balance(graph)},
+        overall_type_mean=_ratio_or_none(overall_balance, graph, "type-mean"),
         overall_triad_mean=_ratio_or_none(overall_balance, graph,
-                                          "triad-mean", tallies),
-        # its own pass, so the function as callers use it is under test
+                                          "triad-mean"),
         nonpartial=_ratio_or_none(nonpartial_balance, graph),
-        undirected=undirected_balance(graph, tallies),
-        composition_directed=composition_directed(graph, tallies).counts,
-        composition_undirected=composition_undirected(graph, tallies).counts,
+        undirected=undirected_balance(graph),
+        composition_directed=composition_directed(graph).counts,
+        composition_undirected=composition_undirected(graph).counts,
         avg_path_length=_ratio_or_none(
-            lambda: metrics(graph, tallies).avg_path_length),
+            lambda: metrics(graph).avg_path_length),
     )
 
 

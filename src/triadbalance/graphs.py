@@ -13,9 +13,11 @@ and interns its id strings in Python.
 Node ids are opaque strings everywhere at the API surface.  Internally each
 graph maps its ids to dense integer indices (sorted id order) and stores its
 edges once, as read-only source, target and sign arrays sorted by index
-pair, and nothing else.  The connected dyads with their directions and
-signs (`dyad_table`) and the undirected skeleton as a CSR (`skeleton_csr`)
-are built from the arrays when needed.
+pair.  Besides them it keeps only what it builds from them on first use: the
+id -> index dict and its one triangle pass (`census.tallies_of`).  The
+connected dyads with their directions and signs (`dyad_table`) and the
+undirected skeleton as a CSR (`skeleton_csr`) are built from the arrays
+when needed.
 """
 from __future__ import annotations
 
@@ -35,6 +37,15 @@ from .errors import FormatError, ParseError
 INPUT_FORMATS = ("csv-rating", "tsv-sign", "signed-matrix")
 AGGREGATE_RULES = ("sum-then-sign", "last-record", "mean-then-sign")
 KEEP_COMPONENTS = ("giant", "all")
+
+#: index arrays are 32-bit while every entry they may hold is below this
+_INDEX32_LIMIT = 1 << 31
+
+
+def _index_dtype(bound: int) -> type:
+    """The dtype of an index array whose entries stay below `bound`: int32
+    when `bound` is under `_INDEX32_LIMIT`, else int64."""
+    return np.int32 if bound < _INDEX32_LIMIT else np.int64
 
 
 class EdgeColumns(NamedTuple):
@@ -104,9 +115,10 @@ class SignedDigraph:
         src:   int64 source index of each edge
         dst:   int64 target index of each edge
         sgn:   int8 sign of each edge, +1 | -1
+    The graph's triangle pass is kept in `_tallies` by `census.tallies_of`.
     """
 
-    __slots__ = ("ids", "_index", "src", "dst", "sgn")
+    __slots__ = ("ids", "_index", "_tallies", "src", "dst", "sgn")
 
     def __new__(cls, edges: Iterable[tuple[str, str, int]] = (),
                 nodes: Iterable[str] = ()):
@@ -145,6 +157,7 @@ class SignedDigraph:
         g = object.__new__(cls)
         g.ids = ids
         g._index = None
+        g._tallies = None
         g.src = np.asarray(src, dtype=np.int64)
         g.dst = np.asarray(dst, dtype=np.int64)
         g.sgn = np.asarray(sgn, dtype=np.int8)
@@ -153,8 +166,8 @@ class SignedDigraph:
         return g
 
     def __reduce__(self):
-        # a pickle carries the ids and edge arrays; loading makes the arrays
-        # read-only again
+        # a pickle or a copy carries the ids and edge arrays, not what is
+        # built from them; loading makes the arrays read-only again
         return (type(self)._from_arrays, (self.ids, self.src, self.dst,
                                           self.sgn))
 
@@ -407,7 +420,7 @@ def _regular_fields(data: bytes, skip: int
         return None
     weights = np.where(wide & (lead == ord("-")), -1.0, 1.0)
     m = len(end)
-    offset = np.int32 if len(raw) < 1 << 31 else np.int64
+    offset = _index_dtype(len(raw))
     starts, lengths = np.empty(2 * m, offset), np.empty(2 * m, offset)
     starts[0] = 0
     np.add(end[:-1], 1, out=starts[1:m])
@@ -694,8 +707,7 @@ def dump_tsv(graph: SignedDigraph, target) -> None:
                       + [v + "\t-1\n" for v in ids], dtype=object)
     # each edge's source piece, then its target piece, as 32-bit positions
     # when they fit
-    order = np.empty(2 * graph.n_edges,
-                     dtype=np.int32 if 3 * n < 1 << 31 else np.int64)
+    order = np.empty(2 * graph.n_edges, dtype=_index_dtype(3 * n))
     order[0::2] = graph.src
     order[1::2] = graph.dst + n * (1 + (graph.sgn < 0))
     text = "".join(pieces[order].tolist())

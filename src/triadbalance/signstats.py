@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import TriadTallies, scan_triads
+from .census import tallies_of
 from .errors import UndefinedResultError
 from .graphs import SignedDigraph, largest_component, skeleton_csr
 
@@ -68,21 +68,15 @@ def _table(counts: dict, basis: str) -> CompositionTable:
                             basis=basis, total=total)
 
 
-def composition_directed(graph: SignedDigraph,
-                         tallies: TriadTallies | None = None) -> CompositionTable:
+def composition_directed(graph: SignedDigraph) -> CompositionTable:
     """Sign multisets of every transitive triple across all transitive triads."""
-    if tallies is None:
-        tallies = scan_triads(graph)
-    return _table(dict(tallies.composition), "directed-triples")
+    return _table(dict(tallies_of(graph).composition), "directed-triples")
 
 
-def composition_undirected(graph: SignedDigraph,
-                           tallies: TriadTallies | None = None) -> CompositionTable:
+def composition_undirected(graph: SignedDigraph) -> CompositionTable:
     """Sign multisets of all closed triangles of the digraph's undirected
     projection."""
-    if tallies is None:
-        tallies = scan_triads(graph)
-    return _table(dict(tallies.undirected), "undirected-triangles")
+    return _table(dict(tallies_of(graph).undirected), "undirected-triangles")
 
 
 @dataclass(frozen=True)
@@ -143,7 +137,8 @@ def _pull_plan(indptr: np.ndarray, indices: np.ndarray
 
 def _distance_sum(indptr: np.ndarray, indices: np.ndarray) -> int:
     """Sum of the BFS distances over all ordered pairs of a connected
-    unweighted graph in CSR form, by bit-parallel multi-source BFS.
+    unweighted graph in CSR form, by bit-parallel multi-source BFS; raises
+    ValueError when a search stops before it reaches every node.
 
     Bit b of word w of a node's row stands for source 64 * w + b of the
     sweep, so one sweep runs 1024 searches.  One level ORs the frontier rows
@@ -190,20 +185,19 @@ def _distance_sum(indptr: np.ndarray, indices: np.ndarray) -> int:
             frontier &= unvisited
             reached = int(np.bitwise_count(frontier).sum())
             if not reached:
-                break
+                raise ValueError("the graph is not connected")
             total += level * reached
             remaining -= reached
             unvisited ^= frontier
     return total
 
 
-def metrics(graph: SignedDigraph,
-            tallies: TriadTallies | None = None) -> GraphMetrics:
+def metrics(graph: SignedDigraph) -> GraphMetrics:
     """Descriptive measures, computed on the giant weakly-connected component.
 
     The component count refers to the graph as passed in; everything else is
     evaluated after giant-component selection (without pendant pruning).
-    Triangles come from `tallies`, the graph's `scan_triads` pass, if given.
+    Triangles come from the graph's one triangle pass (`tallies_of`).
     """
     giant, component_count = largest_component(graph.n_nodes, graph.src,
                                                graph.dst)
@@ -211,10 +205,9 @@ def metrics(graph: SignedDigraph,
     if n < 2:
         raise UndefinedResultError("average path length undefined: the giant "
                                    "component has fewer than two nodes")
-    if tallies is None:
-        tallies = scan_triads(graph)
     # a triangle never spans two components
-    tri_per_node = np.array(tallies.node_triangles, dtype=np.int64)[giant]
+    tri_per_node = np.array(tallies_of(graph).node_triangles,
+                            dtype=np.int64)[giant]
     if n < graph.n_nodes:
         graph = graph.subgraph(giant)
     src, dst = graph.src, graph.dst

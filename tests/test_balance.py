@@ -90,6 +90,9 @@ def test_aggregate_type_mean_excludes_absent_types():
 def test_aggregate_type_mean_empty_raises():
     with pytest.raises(UndefinedResultError):
         aggregate_type_mean([(None, 0)])
+    # a type that occurs must come with its ratio
+    with pytest.raises(ValueError, match="present type with undefined ratio"):
+        aggregate_type_mean([(None, 3)])
 
 
 def test_overall_balance_all_positive(mixed_graph):

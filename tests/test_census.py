@@ -1,3 +1,4 @@
+import copy
 import importlib
 import tracemalloc
 from itertools import permutations
@@ -14,8 +15,9 @@ from triadbalance import (TRANSITIVE_TYPES, TRIAD_TYPES, TRIPLES_PER_TYPE,
                           classify_man, composition_directed,
                           composition_undirected, enumerate_triads,
                           load_edge_records, metrics, overall_balance,
-                          preprocess, scan_triads, transitive_triples,
-                          type_balance, undirected_balance)
+                          preprocess, scan_triads, tallies_of,
+                          transitive_triples, type_balance,
+                          undirected_balance)
 from triadbalance.cli import compare_report
 from triadbalance.errors import NonTransitiveTriadError
 from triadbalance.oracle import (_PATTERNS, ORACLE_MAX_NODES, brute_force,
@@ -134,10 +136,10 @@ def _mismatched_digraph(n, edge_prob, seed):
 def _assert_tallies_match_oracle(g, tallies):
     """Every field of one pass's tallies against the brute-force oracle."""
     reference = brute_force(g)
-    assert census(g, tallies).counts == {
+    assert census(g).counts == {
         cls: reference.census.get(cls, 0) for cls in TRIAD_TYPES}
     for cls, (count, balanced, total) in reference.type_balance.items():
-        assert tallies.type_triads.get(cls, 0) == count
+        assert tallies.census.get(cls, 0) == count
         assert tallies.type_balanced.get(cls, 0) == balanced
         assert count * TRIPLES_PER_TYPE[cls] == total
     classes = {"completely_balanced": 0, "partially_balanced": 0,
@@ -223,19 +225,34 @@ def test_scan_memory_per_edge(hubs_text):
     assert peak < 85 * graph.n_edges
 
 
-@pytest.mark.parametrize("view, args", [
-    (census, ()), (type_balance, ()), (undirected_balance, ()),
-    (build_report, (True,)), (overall_balance, ("type-mean",)),
-    (overall_balance, ("triad-mean",)), (composition_directed, ()),
-    (composition_undirected, ()), (compare_report, ()), (metrics, ())],
-    ids=["census", "type_balance", "undirected_balance", "build_report",
-         "overall_type_mean", "overall_triad_mean", "composition_directed",
-         "composition_undirected", "compare_report", "metrics"])
-def test_view_of_a_given_pass_equals_its_own_pass(view, args):
+VIEWS = {
+    "census": (census, ()), "type_balance": (type_balance, ()),
+    "undirected_balance": (undirected_balance, ()),
+    "build_report": (build_report, (True,)),
+    "overall_type_mean": (overall_balance, ("type-mean",)),
+    "overall_triad_mean": (overall_balance, ("triad-mean",)),
+    "composition_directed": (composition_directed, ()),
+    "composition_undirected": (composition_undirected, ()),
+    "compare_report": (compare_report, ()), "metrics": (metrics, ())}
+
+
+@pytest.mark.parametrize("name", VIEWS)
+def test_view_of_a_given_pass_equals_its_own_pass(name):
+    # every view, called twice, reads one pass kept with the graph; a copy
+    # keeps no pass, so the view there is of its own
     g = _mismatched_digraph(40, 0.2, 5)
-    tallies = scan_triads(g)
+    with mock.patch.object(census_module, "scan_triads",
+                           wraps=census_module.scan_triads) as scan:
+        for view, args in [*VIEWS.values()] * 2:
+            view(g, *args)
+        assert scan.call_count == 1
+    tallies = tallies_of(g)
     assert tallies.cancelled and tallies.undirected_only
-    assert view(g, *args) == view(g, *args, tallies=tallies)
+    view, args = VIEWS[name]
+    fresh = copy.copy(g)
+    assert fresh._tallies is None
+    assert view(g, *args) == view(fresh, *args)
+    assert fresh._tallies == tallies
 
 
 # -- census ----------------------------------------------------------------------

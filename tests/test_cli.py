@@ -380,7 +380,7 @@ def test_oracle_check_refuses_an_over_cap_input_file(tmp_path, capsys):
 
 def test_oracle_check_mismatch_exits_1_naming_the_field(monkeypatch, capsys):
     monkeypatch.setattr(triadbalance.crosscheck, "undirected_balance",
-                        lambda graph, tallies: (0, 0, 0, None))
+                        lambda graph: (0, 0, 0, None))
     rc = main(["oracle-check", "--n", "12", "--edge-prob", "0.3",
                "--neg-prob", "0.4", "--seed", "3"])
     assert rc == 1
@@ -449,7 +449,9 @@ def test_unwritable_out_dir_exits_2(tmp_path, monkeypatch, capsys):
     def no_scan(*args, **kwargs):
         raise AssertionError("scan_triads called before --out was checked")
 
-    monkeypatch.setattr(triadbalance.cli, "scan_triads", no_scan)
+    # `triadbalance.census` is the function; the module is in sys.modules
+    monkeypatch.setattr(sys.modules["triadbalance.census"], "scan_triads",
+                        no_scan)
     data = _write(tmp_path, "g.tsv", TRIANGLE_TSV)
     blocker = _write(tmp_path, "not-a-dir", "")
     for out in (blocker, blocker / "sub"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from triadbalance import (EdgeColumns, PreprocessConfig, SignedDigraph,
                           build_graph, dump_tsv, load_edge_records, load_tsv,
                           metrics, preprocess, project_undirected,
-                          scan_triads)
+                          scan_triads, tallies_of)
 from triadbalance.errors import FormatError, ParseError
 from triadbalance.graphs import (AGGREGATE_RULES, _parse_lines, _parse_matrix,
                                  _split_regular, find_keys)
@@ -424,6 +424,8 @@ def test_self_loop_rejected():
 def test_node_ids_are_strings_however_given():
     assert SignedDigraph([("a", "b", 1)], nodes=[3]).ids == ("3", "a", "b")
     assert SignedDigraph([], nodes=[5]).ids == ("5",)
+    assert repr(SignedDigraph([("a", "b", 1)], nodes=[3])) == (
+        "SignedDigraph(n=3, m=1)")
     with pytest.raises(ValueError, match="padded"):
         SignedDigraph([("a", "b", 1)], nodes=["c "])
 
@@ -699,14 +701,17 @@ def test_dump_reads_back_a_hash_id_that_is_only_a_target():
 
 def test_pickle_round_trip_sends_arrays_only():
     g = random_signed_digraph(60, 0.1, 0.4, 7)
+    tallies_of(g)
     data = pickle.dumps(g)
     loaded = pickle.loads(data)
+    assert loaded._tallies is None
     assert list(loaded.edge_items()) == list(g.edge_items())
     assert (loaded.ids == g.ids and _signs(loaded) == _signs(g)
             and _index_sets(loaded)[2] == _index_sets(g)[2])
     for array in (loaded.src, loaded.dst, loaded.sgn):
         assert not array.flags.writeable
-    # nothing beyond the ids and the edge arrays is carried
+    # nothing beyond the ids and the edge arrays is carried, not even the
+    # graph's triangle pass
     assert len(data) < len(pickle.dumps((g.ids, g.src, g.dst, g.sgn))) + 200
 
 

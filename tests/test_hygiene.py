@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used, every module-level private
-name of the package is read somewhere in it, and every parameter of the
-package's functions is read by the function's body.
+name of the package is read somewhere in it, every parameter of the
+package's functions is read by the function's body, and one rule picks the
+width of the package's index arrays.
 
 The package's `__init__.py` is left out of the import check, since its
 imports are re-exports.  `from __future__` imports change the compiler, not
@@ -163,3 +164,52 @@ def test_unread_parameter_is_caught():
     assert unread_parameters(source) == [
         (2, "method", "args"), (2, "method", "unused"), (6, "build", "spare"),
         (8, "outer", "b"), (9, "inner", "c"), (12, "<lambda>", "y")]
+
+
+#: the one place that picks a 32- or 64-bit index array: the bound and the
+#: helper that reads it, both in graphs.py
+INDEX_WIDTH_RULE = ("_INDEX32_LIMIT", "_index_dtype")
+
+
+def _is_width_bound(node: ast.AST) -> bool:
+    """`1 << 31`, `2 ** 31` or the constant 2147483648."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int and node.value == 1 << 31
+    if not (isinstance(node, ast.BinOp) and isinstance(node.left, ast.Constant)
+            and isinstance(node.right, ast.Constant)):
+        return False
+    operands = (type(node.op), node.left.value, node.right.value)
+    return operands in ((ast.LShift, 1, 31), (ast.Pow, 2, 31))
+
+
+def width_rules(source: str) -> list[int]:
+    """Lines of every 2**31 bound outside the index-width rule's bound and
+    helper."""
+    lines = []
+    for node in ast.parse(source).body:
+        defined = {getattr(node, "name", None)} | {
+            t.id for t in getattr(node, "targets", ())
+            if isinstance(t, ast.Name)}
+        if defined.isdisjoint(INDEX_WIDTH_RULE):
+            lines += [child.lineno for child in ast.walk(node)
+                      if _is_width_bound(child)]
+    return sorted(lines)
+
+
+def test_one_index_width_rule():
+    graphs = (ROOT / "src" / "triadbalance" / "graphs.py").read_text(
+        encoding="utf-8")
+    assert "_INDEX32_LIMIT = 1 << 31\n" in graphs
+    assert {path.name: width_rules(path.read_text(encoding="utf-8"))
+            for path in PACKAGE} == {path.name: [] for path in PACKAGE}
+
+
+def test_a_second_width_rule_is_caught():
+    source = ("_INDEX32_LIMIT = 1 << 31\n"
+              "def _index_dtype(bound):\n"
+              "    return bound < 1 << 31\n"
+              "def other(n):\n"
+              "    return n < 1 << 31 or n < 2 ** 31\n"
+              "LIMIT = 2147483648\n"
+              "SPARE = 1 << 30, 2 ** 32, 2147483648.0\n")
+    assert width_rules(source) == [5, 5, 6]

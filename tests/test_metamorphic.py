@@ -63,9 +63,9 @@ def test_switching_keeps_balance(hub_signs):
                              for (u, v), s in hub_signs.items())
     before, after = scan_triads(graph), scan_triads(switched)
     assert before.cancelled and before.undirected_only
-    for name in ("census", "open_wedges", "mutual", "type_triads",
-                 "type_balanced", "classification", "cancelled",
-                 "undirected_only", "node_triangles"):
+    for name in ("census", "open_wedges", "mutual", "type_balanced",
+                 "classification", "cancelled", "undirected_only",
+                 "node_triangles"):
         assert getattr(after, name) == getattr(before, name), name
 
     def projected(tallies):

@@ -16,7 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from triadbalance import graphs
+from triadbalance.census import _oriented_dyads
 from triadbalance.cli import RunConfig, run
+from triadbalance.crosscheck import compare_with_oracle
 from triadbalance.graphs import PreprocessConfig, dump_tsv
 from triadbalance.oracle import random_signed_digraph
 
@@ -108,6 +111,19 @@ def report_hashes(case: str, work: Path) -> dict[str, str]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_bytes_match_pinned_hashes(tmp_path, case):
     assert report_hashes(case, tmp_path) == json.loads(HASHES.read_text())[case]
+
+
+def test_64_bit_indices_give_the_same_figures(tmp_path, monkeypatch):
+    # no input here is large enough to reach the 64-bit index arrays, so the
+    # bound is lowered until every index array takes them
+    monkeypatch.setattr(graphs, "_INDEX32_LIMIT", 0)
+    pinned = json.loads(HASHES.read_text())
+    for case in sorted(CASES):
+        assert report_hashes(case, tmp_path / case) == pinned[case], case
+    for seed in range(4):
+        g = random_signed_digraph(30, 0.2, 0.4, seed)
+        assert _oriented_dyads(g)[1].dtype == np.int64
+        assert compare_with_oracle(g) == []
 
 
 if __name__ == "__main__":

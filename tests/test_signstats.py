@@ -10,8 +10,9 @@ from triadbalance import (TRIPLES_PER_TYPE, SignedDigraph,
                           composition_directed, composition_undirected,
                           metrics, scan_triads)
 from triadbalance.errors import UndefinedResultError
-from triadbalance.graphs import PreprocessConfig, preprocess
+from triadbalance.graphs import PreprocessConfig, preprocess, skeleton_csr
 from triadbalance.oracle import brute_force, random_signed_digraph
+from triadbalance.signstats import _distance_sum
 
 
 def test_composition_all_positive():
@@ -69,8 +70,8 @@ def test_balanced_share_matches_balance_module(seed):
         return
     tallies = scan_triads(g)
     balanced = sum(tallies.type_balanced.values())
-    total = sum(count * TRIPLES_PER_TYPE[cls]
-                for cls, count in tallies.type_triads.items())
+    total = sum(tallies.census.get(cls, 0) * triples
+                for cls, triples in TRIPLES_PER_TYPE.items())
     share = table.proportions["+++"] + table.proportions["+--"]
     assert abs(share - balanced / total) < 1e-9
 
@@ -194,6 +195,15 @@ def test_avg_path_length_column_plan_exact(n, extra, hub_count, seed):
     assert metrics(g).avg_path_length == _dense_apl(g)
 
 
+def test_distance_sum_refuses_a_disconnected_graph():
+    # two paths, 0-1-2 and 3-4: no search reaches the other component
+    indptr, indices = skeleton_csr(5, np.array([0, 1, 3]), np.array([1, 2, 4]))
+    with pytest.raises(ValueError, match="not connected"):
+        _distance_sum(indptr, indices)
+    indptr, indices = skeleton_csr(3, np.array([0, 1]), np.array([1, 2]))
+    assert _distance_sum(indptr, indices) == 8
+
+
 def _skeleton(graph):
     adj = {i: set() for i in range(graph.n_nodes)}
     for a, b, _ in graph.edge_items():
@@ -248,9 +258,7 @@ def test_metrics_reuse_the_triangle_pass_on_all_components():
     g = preprocess(SignedDigraph(edges),
                    PreprocessConfig(keep_component="all"))
     assert g.n_nodes == 12
-    tallies = scan_triads(g)
-    assert metrics(g, tallies) == metrics(g)
-    measured = metrics(g, tallies)
+    measured = metrics(g)
     assert (measured.node_count, measured.component_count) == (5, 3)
     assert measured.transitivity == pytest.approx(9 / 14)
     giant = preprocess(SignedDigraph(edges))

@@ -143,44 +143,10 @@ class BalanceReport:
     overall_triad_mean: float
     nonpartial: tuple[float, int, int]
     classification_counts: dict
-    undirected: tuple[int, int, int, float | None] | None = None
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "per_type": [
-                {"type": tb.type, "count": tb.triad_count, "ratio": tb.ratio}
-                for tb in self.per_type
-            ],
-            "overall_type_mean": self.overall_type_mean,
-            "overall_triad_mean": self.overall_triad_mean,
-            "nonpartial": {
-                "ratio": self.nonpartial[0],
-                "balanced": self.nonpartial[1],
-                "imbalanced": self.nonpartial[2],
-            },
-            "classification_counts": dict(self.classification_counts),
-        }
-        if self.undirected is not None:
-            t, b, i, r = self.undirected
-            doc["undirected"] = {"triangles": t, "balanced": b,
-                                 "imbalanced": i, "ratio": r}
-        return doc
-
-    def to_csv_rows(self) -> list[list]:
-        """Flat per-type view: type, ratio (2 decimals), triad count."""
-        rows = [["type", "ratio", "triads"]]
-        for tb in self.per_type:
-            shown = "" if tb.ratio is None else f"{tb.ratio:.2f}"
-            rows.append([tb.type, shown, tb.triad_count])
-        total = sum(tb.triad_count for tb in self.per_type)
-        rows.append(["average", f"{self.overall_type_mean:.2f}", total])
-        return rows
 
 
-def build_report(graph: SignedDigraph,
-                 undirected: bool = False) -> BalanceReport:
-    """Single-pass balance report, with the undirected figures when
-    `undirected` is set; raises when no transitive triad exists."""
+def build_report(graph: SignedDigraph) -> BalanceReport:
+    """Single-pass balance report; raises when no transitive triad exists."""
     per_type = type_balance(graph)
     transitive = sum(tb.triad_count for tb in per_type)
     if transitive == 0:
@@ -198,5 +164,4 @@ def build_report(graph: SignedDigraph,
         overall_triad_mean=triad_mean,
         nonpartial=(balanced / transitive, balanced, transitive - balanced),
         classification_counts={c: classification[c] for c in CLASSIFICATIONS},
-        undirected=undirected_balance(graph) if undirected else None,
     )

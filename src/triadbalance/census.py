@@ -24,7 +24,7 @@ balance layer.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from math import comb
 from typing import Iterator, NamedTuple
@@ -265,16 +265,16 @@ class TriadTallies:
     `node_triangles` holds the triangle count of each node index.
     """
 
-    census: dict = field(default_factory=dict)
-    type_balanced: dict = field(default_factory=dict)
-    classification: dict = field(default_factory=lambda: {c: 0 for c in CLASSIFICATIONS})
-    composition: dict = field(default_factory=lambda: {c: 0 for c in _COMPOSITIONS})
-    undirected: dict = field(default_factory=lambda: {c: 0 for c in _COMPOSITIONS})
-    undirected_only: list = field(default_factory=list)
-    open_wedges: dict = field(default_factory=dict)
-    mutual: int = 0
-    cancelled: list = field(default_factory=list)
-    node_triangles: tuple = ()
+    census: dict
+    type_balanced: dict
+    classification: dict
+    composition: dict
+    undirected: dict
+    undirected_only: list
+    open_wedges: dict
+    mutual: int
+    cancelled: list
+    node_triangles: tuple
 
 
 def resolve_workers(requested: int | None = None) -> int:
@@ -450,9 +450,6 @@ class CensusTable:
         for cls in ("003", "012", "102"):
             trimmed[cls] = 0
         return CensusTable(trimmed, self.n_nodes, include_disconnected=False)
-
-    def to_csv_rows(self) -> list[tuple[str, int]]:
-        return [(cls, self.counts[cls]) for cls in TRIAD_TYPES]
 
 
 def census(graph: SignedDigraph, *, workers: int = 1) -> CensusTable:

@@ -5,7 +5,8 @@ analysis run writes a manifest recording the configuration, an input
 checksum and the node/edge counts before and after preprocessing, plus the
 preprocessed graph in the canonical TSV dump, so any run can be replayed
 and audited.  Reports are deterministic; only the manifest carries a
-timestamp.
+timestamp.  The figure modules return figures; this module lays out every
+report from them.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, balance, oracle, signstats
-from .census import census, tallies_of
+from .census import TRIAD_TYPES, census, tallies_of
 from .errors import FormatError, ParseError, UndefinedResultError
 from .graphs import (INPUT_FORMATS, PreprocessConfig, SignedDigraph,
                      build_graph, dump_tsv, load_edge_records, preprocess)
@@ -90,11 +91,34 @@ def _load_preprocessed(
     return built, pre, len(records.weights), input_sha256
 
 
+def _two_places(ratio: float | None) -> str:
+    """A ratio as a table cell: two decimals, empty when it is undefined."""
+    return "" if ratio is None else f"{ratio:.2f}"
+
+
+def _balance_doc(report: balance.BalanceReport) -> dict:
+    """`balance.json` without its mode and undirected blocks."""
+    return {
+        "per_type": [{"type": tb.type, "count": tb.triad_count,
+                      "ratio": tb.ratio} for tb in report.per_type],
+        "overall_type_mean": report.overall_type_mean,
+        "overall_triad_mean": report.overall_triad_mean,
+        "nonpartial": dict(zip(("ratio", "balanced", "imbalanced"),
+                               report.nonpartial)),
+        "classification_counts": dict(report.classification_counts),
+    }
+
+
+def _undirected_doc(graph: SignedDigraph) -> dict:
+    return dict(zip(("triangles", "balanced", "imbalanced", "ratio"),
+                    balance.undirected_balance(graph)))
+
+
 def compare_report(graph: SignedDigraph) -> dict:
     """Side-by-side directed-partial / directed-non-partial / undirected
     figures, plus the projection's cancellation and inflation artefacts."""
     tallies = tallies_of(graph)
-    doc = balance.build_report(graph, True).to_json_dict()
+    doc = _balance_doc(balance.build_report(graph))
     # projected triangles are the digraph's triangles without a cancelled
     # pair; those of a non-transitive class are inflation by the projection
     undirected_only = [list(tri) for tri in tallies.undirected_only]
@@ -105,11 +129,33 @@ def compare_report(graph: SignedDigraph) -> dict:
             "classification_counts": doc["classification_counts"],
         },
         "directed_nonpartial": doc["nonpartial"],
-        "undirected": doc["undirected"],
+        "undirected": _undirected_doc(graph),
         "cancelled_edges": cancelled,
         "undirected_only_triangles": undirected_only,
         "identical_realizations": not cancelled and not undirected_only,
     }
+
+
+def _balance_csv_rows(report: balance.BalanceReport) -> list:
+    """The paper's per-type table: type, ratio and triad count, then the
+    type-mean over all triads."""
+    rows = [["type", "ratio", "triads"]]
+    rows += [[tb.type, _two_places(tb.ratio), tb.triad_count]
+             for tb in report.per_type]
+    rows.append(["average", _two_places(report.overall_type_mean),
+                 sum(tb.triad_count for tb in report.per_type)])
+    return rows
+
+
+def _metrics_csv_rows(measured: signstats.GraphMetrics) -> list:
+    return [["measure", "value"], ["nodes", measured.node_count],
+            ["edges", measured.edge_count],
+            ["components", measured.component_count],
+            ["transitivity", _two_places(measured.transitivity)],
+            ["density", _two_places(measured.density)],
+            ["avg_path_length", _two_places(measured.avg_path_length)],
+            ["clustering_coefficient",
+             _two_places(measured.clustering_coefficient)]]
 
 
 def _compare_csv_rows(doc: dict) -> list:
@@ -118,15 +164,12 @@ def _compare_csv_rows(doc: dict) -> list:
               "nonpartial_it", "undirected_br", "undirected_bt",
               "undirected_it"]
     cc = doc["directed_partial"]["classification_counts"]
-    und = doc["undirected"]
-    row = [f"{doc['directed_partial']['ratio']:.2f}",
+    nonpartial, und = doc["directed_nonpartial"], doc["undirected"]
+    row = [_two_places(doc["directed_partial"]["ratio"]),
            cc["completely_balanced"], cc["partially_balanced"],
-           cc["completely_imbalanced"],
-           f"{doc['directed_nonpartial']['ratio']:.2f}",
-           doc["directed_nonpartial"]["balanced"],
-           doc["directed_nonpartial"]["imbalanced"],
-           "" if und["ratio"] is None else f"{und['ratio']:.2f}",
-           und["balanced"], und["imbalanced"]]
+           cc["completely_imbalanced"], _two_places(nonpartial["ratio"]),
+           nonpartial["balanced"], nonpartial["imbalanced"],
+           _two_places(und["ratio"]), und["balanced"], und["imbalanced"]]
     return [header, row]
 
 
@@ -139,17 +182,19 @@ def _reports(config: RunConfig, graph: SignedDigraph) -> dict[str, object]:
 
     if "census" in analyses:
         table = census(graph)
-        docs["census"] = (
-            asdict(table),
-            [["triad_type", "count"]] + [list(r) for r in table.to_csv_rows()])
+        docs["census"] = (asdict(table), [["triad_type", "count"]] + [
+            [cls, table.counts[cls]] for cls in TRIAD_TYPES])
 
     if "balance" in analyses:
-        report = balance.build_report(graph, "undirected-compare" in analyses)
-        doc = report.to_json_dict()
+        report = balance.build_report(graph)
+        doc = _balance_doc(report)
+        if "undirected-compare" in analyses:
+            doc["undirected"] = _undirected_doc(graph)
         doc["mode"] = config.balance_mode
-        doc["overall_balance"] = balance.overall_balance(graph,
-                                                         config.balance_mode)
-        docs["balance"] = (doc, report.to_csv_rows())
+        doc["overall_balance"] = (report.overall_type_mean
+                                  if config.balance_mode == "type-mean"
+                                  else report.overall_triad_mean)
+        docs["balance"] = (doc, _balance_csv_rows(report))
 
     if "composition" in analyses:
         table = signstats.composition_directed(graph)
@@ -158,13 +203,15 @@ def _reports(config: RunConfig, graph: SignedDigraph) -> dict[str, object]:
         docs["composition"] = (
             {"network": name, "directed": asdict(table),
              "undirected": asdict(und_table)},
-            [["network", "basis", "ppp", "pnn", "ppn", "nnn", "total"],
-             table.to_csv_row(name), und_table.to_csv_row(name)])
+            [["network", "basis", "ppp", "pnn", "ppn", "nnn", "total"]] + [
+                [name, t.basis, *(_two_places(t.proportions[k])
+                                  for k in signstats.COMPOSITION_KEYS),
+                 t.total] for t in (table, und_table)])
 
     if "metrics" in analyses:
         measured = signstats.metrics(graph)
         docs["metrics"] = (asdict(measured) | {"basis": signstats.METRIC_BASIS},
-                           measured.to_csv_rows())
+                           _metrics_csv_rows(measured))
 
     if "undirected-compare" in analyses:
         doc = compare_report(graph)

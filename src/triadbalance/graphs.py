@@ -455,8 +455,12 @@ def _intern_fields(words: np.ndarray) -> tuple[list[str], np.ndarray]:
     new = np.empty(len(ranked), dtype=bool)
     new[0] = True
     np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    # an S8 item drops the zero bytes that end it
-    text = b"\t".join(ranked[new].astype(">u8").view("S8").tolist())
+    # each distinct word's bytes and a TAB, in one buffer without the zero
+    # bytes that end the shorter fields
+    fields = np.full((int(new.sum()), 9), ord("\t"), dtype=np.uint8)
+    fields[:, :8].view(">u8")[:, 0] = ranked[new]
+    text = fields[fields != 0].tobytes()
+    del fields  # the decoded ids need the room
     # counted in place in the sorted words' buffer: cumsum would first copy
     # the flags to int64
     new[0] = False
@@ -465,7 +469,7 @@ def _intern_fields(words: np.ndarray) -> tuple[list[str], np.ndarray]:
     np.cumsum(ranks, out=ranks)
     positions = words.view(np.int64)
     positions[order] = ranks
-    return text.decode("utf-8").split("\t"), positions
+    return text.decode("utf-8").split("\t")[:-1], positions
 
 
 def _parse_lines(lines: Iterable[str], fmt: str) -> EdgeColumns:
@@ -724,6 +728,6 @@ def dump_tsv(graph: SignedDigraph, target) -> None:
             fh.close()
 
 
-def load_tsv(source, config: PreprocessConfig | None = None) -> SignedDigraph:
+def load_tsv(source) -> SignedDigraph:
     """Rebuild a digraph from its canonical dump."""
-    return build_graph(load_edge_records(source, "tsv-sign"), config)
+    return build_graph(load_edge_records(source, "tsv-sign"))

@@ -53,11 +53,6 @@ class CompositionTable:
     basis: str  # directed-triples | undirected-triangles
     total: int
 
-    def to_csv_row(self, network: str) -> list:
-        return ([network, self.basis]
-                + [f"{self.proportions[k]:.2f}" for k in COMPOSITION_KEYS]
-                + [self.total])
-
 
 def _table(counts: dict, basis: str) -> CompositionTable:
     total = sum(counts.values())
@@ -88,18 +83,6 @@ class GraphMetrics:
     density: float
     avg_path_length: float
     clustering_coefficient: float
-
-    def to_csv_rows(self) -> list[list]:
-        return [
-            ["measure", "value"],
-            ["nodes", self.node_count],
-            ["edges", self.edge_count],
-            ["components", self.component_count],
-            ["transitivity", f"{self.transitivity:.2f}"],
-            ["density", f"{self.density:.2f}"],
-            ["avg_path_length", f"{self.avg_path_length:.2f}"],
-            ["clustering_coefficient", f"{self.clustering_coefficient:.2f}"],
-        ]
 
 
 def _pull_plan(indptr: np.ndarray, indices: np.ndarray

@@ -1,4 +1,5 @@
 import copy
+import csv
 import importlib
 import tracemalloc
 from itertools import permutations
@@ -18,7 +19,7 @@ from triadbalance import (TRANSITIVE_TYPES, TRIAD_TYPES, TRIPLES_PER_TYPE,
                           preprocess, scan_triads, tallies_of,
                           transitive_triples, type_balance,
                           undirected_balance)
-from triadbalance.cli import compare_report
+from triadbalance.cli import RunConfig, compare_report, run
 from triadbalance.errors import NonTransitiveTriadError
 from triadbalance.oracle import (_PATTERNS, ORACLE_MAX_NODES, brute_force,
                                 random_signed_digraph)
@@ -228,7 +229,7 @@ def test_scan_memory_per_edge(hubs_text):
 VIEWS = {
     "census": (census, ()), "type_balance": (type_balance, ()),
     "undirected_balance": (undirected_balance, ()),
-    "build_report": (build_report, (True,)),
+    "build_report": (build_report, ()),
     "overall_type_mean": (overall_balance, ("type-mean",)),
     "overall_triad_mean": (overall_balance, ("triad-mean",)),
     "composition_directed": (composition_directed, ()),
@@ -289,10 +290,15 @@ def test_census_connected_only_mode():
     assert trimmed.total() == 0  # a lone arc creates no connected triad
 
 
-def test_census_csv_rows_fixed_order():
-    g = SignedDigraph(nodes=list("abc"))
-    rows = census(g).to_csv_rows()
-    assert [r[0] for r in rows] == list(TRIAD_TYPES)
+def test_census_csv_rows_fixed_order(tmp_path):
+    data = tmp_path / "g.tsv"
+    data.write_text("a\tb\t1\nb\tc\t1\nc\ta\t1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(RunConfig(input_path=str(data), analyses=("census",),
+                         emit=("csv",), out_dir=str(out))) == 0
+    with open(out / "census.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[0] for r in rows] == ["triad_type", *TRIAD_TYPES]
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(3, 16))

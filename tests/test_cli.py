@@ -413,35 +413,45 @@ def test_byte_order_mark_changes_nothing(tmp_path):
     assert graphs[0].startswith(b"a\tb\t+1\n")
 
 
+def _script_env() -> dict:
+    """This process's environment with the package's source root first on
+    PYTHONPATH, so a child imports the same package, installed or not."""
+    package_root = str(Path(triadbalance.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
 def test_console_entry_point(tmp_path):
     data = _write(tmp_path, "g.tsv", TRIANGLE_TSV)
-    # the child imports the same package as this test, installed or not
-    package_root = str(Path(triadbalance.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [package_root,
-                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "triadbalance.cli", "analyze",
          "--input", str(data), "--analyses", "census",
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        capture_output=True, text=True, env=_script_env())
     assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "census.csv").is_file()
 
 
 def test_run_tables_script_prints_the_highland_rows(tmp_path):
     data = tmp_path / "data"
     shutil.copytree(HIGHLAND, data / "highland")
-    package_root = str(Path(triadbalance.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [package_root,
-                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(REPO_ROOT / "scripts" / "run_tables.py"),
          "--data", str(data), "--out", str(tmp_path / "reports")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        timeout=120)
+        capture_output=True, text=True, env=_script_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     # one block for the TSV and one for the matrix
     assert proc.stdout.count("\n  300      0.87   68\n") == 2
     assert proc.stdout.count("non-partial=0.87 (59/9)") == 2
+
+
+def test_module_runs_as_a_script():
+    # `python -m triadbalance.cli` reaches `main` through the __main__ guard
+    proc = subprocess.run(
+        [sys.executable, "-m", "triadbalance.cli", "--version"],
+        capture_output=True, text=True, env=_script_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"triadbalance {triadbalance.__version__}\n"
 
 
 def test_unwritable_out_dir_exits_2(tmp_path, monkeypatch, capsys):

@@ -289,9 +289,10 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-#: kind -> (text, bound on the parse's peak per text byte).  Measured 6.5x,
-#: 11.1x, 10.4x and 19.6x; with 64-bit field offsets 7.4x and 12.8x on the
-#: hubs and 1-byte texts.  The distinct ids' own strings set the last bound.
+#: kind -> (text, bound on the parse's peak per text byte).  Measured 6.1x,
+#: 11.1x, 10.4x and 12.9x; with 64-bit field offsets 7.4x and 12.8x on the
+#: hubs and 1-byte texts; 19.6x on distinct ids with one bytes object per
+#: distinct id.  The distinct ids' own strings set the last bound.
 _MEMORY_TEXTS = {
     "hubs": (None, 7.0),
     "ids-of-1-17-bytes-and-one-of-4000": (lambda: (
@@ -299,7 +300,7 @@ _MEMORY_TEXTS = {
     "ids-of-1-byte": (lambda: "".join(f"{i % 7}\t{i * 3 % 11}\t1\n"
                                       for i in range(50_000)), 11.5),
     "all-ids-distinct": (lambda: "".join(f"u{i}\tv{i}\t-1\n"
-                                         for i in range(50_000)), 21.5),
+                                         for i in range(50_000)), 14.0),
 }
 
 

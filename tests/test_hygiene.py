@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used, every module-level private
 name of the package is read somewhere in it, every parameter of the
-package's functions is read by the function's body, and one rule picks the
-width of the package's index arrays.
+package's functions is read by the function's body, one rule picks the
+width of the package's index arrays, and one helper writes a ratio to two
+decimal places.
 
 The package's `__init__.py` is left out of the import check, since its
 imports are re-exports.  `from __future__` imports change the compiler, not
@@ -213,3 +214,43 @@ def test_a_second_width_rule_is_caught():
               "LIMIT = 2147483648\n"
               "SPARE = 1 << 30, 2 ** 32, 2147483648.0\n")
     assert width_rules(source) == [5, 5, 6]
+
+
+#: the one place that writes a ratio to two decimal places: the report
+#: table cell helper, in cli.py
+TWO_PLACE_RULE = ("cli.py", "_two_places")
+
+
+def two_place_specs(source: str, exempt: str | None = None) -> list[int]:
+    """Lines of every string holding a `.2f` format spec, such as the spec
+    of `f"{x:.2f}"` or the argument of `format(x, ".2f")`, outside the
+    module-level function named `exempt`."""
+    lines = []
+    for node in ast.parse(source).body:
+        if exempt is None or getattr(node, "name", None) != exempt:
+            lines += [child.lineno for child in ast.walk(node)
+                      if isinstance(child, ast.Constant)
+                      and isinstance(child.value, str)
+                      and ".2f" in child.value]
+    return sorted(lines)
+
+
+def test_one_two_place_rule():
+    file, helper = TWO_PLACE_RULE
+    source = (ROOT / "src" / "triadbalance" / file).read_text(encoding="utf-8")
+    assert two_place_specs(source) != two_place_specs(source, helper)
+    assert {path.name: two_place_specs(path.read_text(encoding="utf-8"),
+                                       helper if path.name == file else None)
+            for path in PACKAGE} == {path.name: [] for path in PACKAGE}
+
+
+def test_a_second_two_place_rule_is_caught():
+    source = ("def _two_places(ratio):\n"
+              "    return '' if ratio is None else f'{ratio:.2f}'\n"
+              "def row(x, y):\n"
+              "    return [f'{x:.2f}', format(y, '.2f'), '%.2f' % x]\n"
+              "SPARE = f'{1:.3f}', f'{2:2f}', '2f'\n"
+              "def _other(z):\n"
+              "    return f'{z:.2f}'\n")
+    assert two_place_specs(source, "_two_places") == [4, 4, 4, 7]
+    assert two_place_specs(source) == [2, 4, 4, 4, 7]

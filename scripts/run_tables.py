@@ -1,22 +1,23 @@
 #!/usr/bin/env python3
 """Run the full analysis over every dataset found under data/ and print the
-headline tables: per-type balance, sign composition (directed vs undirected)
-and the partial / non-partial / undirected comparison.
+headline tables: per-type balance, sign composition (directed vs undirected),
+the partial / non-partial / undirected comparison and the network metrics.
 
-Report files land in reports/<dataset>/; the console output is a compact
-summary read back from those files.  Datasets are discovered by extension: *.tsv (tsv-sign),
-*.csv (csv-rating), *_matrix.txt (signed-matrix).
+Report files land in reports/<dataset>/; the console output is the CSV
+tables of that run, printed as written.  Datasets are discovered by
+extension: *.tsv (tsv-sign), *.csv (csv-rating), *_matrix.txt
+(signed-matrix).
 
 Usage:
     python3 scripts/run_tables.py [--data data] [--out reports]
 """
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from triadbalance.cli import RunConfig, run
-from triadbalance.signstats import COMPOSITION_KEYS
+
+TABLES = ("balance.csv", "composition.csv", "compare.csv", "metrics.csv")
 
 
 def _discover(data_dir: Path):
@@ -36,41 +37,11 @@ def summarize(path: Path, fmt: str, out_root: Path) -> None:
     status = run(RunConfig(input_path=str(path), input_format=fmt,
                            out_dir=str(out_dir)))
     if status != 0:
-        print(f"  run exited with status {status}; skipping summary")
+        print(f"  run exited with status {status}; skipping tables")
         return
-
-    def load(report: str) -> dict:
-        return json.loads((out_dir / report).read_text(encoding="utf-8"))
-
-    balance = load("balance.json")
-    print("  type    ratio   triads")
-    for entry in balance["per_type"]:
-        shown = "  --" if entry["ratio"] is None else f"{entry['ratio']:.2f}"
-        print(f"  {entry['type']:<6}  {shown:>5}   {entry['count']}")
-    total = sum(e["count"] for e in balance["per_type"])
-    print(f"  average {balance['overall_type_mean']:.2f}   {total}")
-
-    composition = load("composition.json")
-    for basis in ("directed", "undirected"):
-        shares = composition[basis]["proportions"]
-        keys = " ".join(f"{k}={shares[k]:.2f}" for k in COMPOSITION_KEYS)
-        print(f"  composition {basis + ':':<12}{keys}")
-
-    compare = load("compare.json")
-    partial = compare["directed_partial"]["ratio"]
-    nonpartial = compare["directed_nonpartial"]
-    und = compare["undirected"]
-    r = und["ratio"]
-    print(f"  partial={partial:.2f}  "
-          f"non-partial={nonpartial['ratio']:.2f} "
-          f"({nonpartial['balanced']}/{nonpartial['imbalanced']})  "
-          f"undirected={'--' if r is None else f'{r:.2f}'} "
-          f"({und['balanced']}/{und['imbalanced']})")
-
-    m = load("metrics.json")
-    print(f"  density={m['density']:.2f} transitivity={m['transitivity']:.2f} "
-          f"apl={m['avg_path_length']:.2f} "
-          f"clustering={m['clustering_coefficient']:.2f}")
+    for table in TABLES:
+        print(f"\n{table}")
+        print((out_dir / table).read_text(encoding="utf-8"), end="")
 
 
 def main() -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -163,25 +163,20 @@ def enumerate_triads(graph: SignedDigraph) -> Iterator[Triad]:
     """Yield every triad with at least two connected dyads exactly once.
 
     Triads are emitted in lexicographic order of their sorted node indices.
-    Candidates for the smallest node u are pairs of u's higher neighbours
-    plus, for each higher neighbour v, the neighbours of v that u does not
-    reach; the triple scan over all C(n, 3) combinations is never performed.
+    Two connected dyads of a triad share a node, a skeleton neighbour of
+    the other two, so the triads are the pairs of each skeleton row taken
+    with the row's node; the triple scan over all C(n, 3) combinations is
+    never performed.
     """
     bounds, cols = (array.tolist() for array in skeleton_csr(
         graph.n_nodes, graph.src, graph.dst))
-    adj = [set(cols[a:b]) for a, b in zip(bounds, bounds[1:])]
-    found = []
-    for u in range(graph.n_nodes):
-        au = adj[u]
-        higher = sorted(x for x in au if x > u)
-        cands: set[tuple[int, int]] = set()
-        for pos, v in enumerate(higher):
-            for w in higher[pos + 1:]:
-                cands.add((v, w))
-            for w in adj[v]:
-                if w > u and w not in au:
-                    cands.add((v, w) if v < w else (w, v))
-        found.extend((u, v, w) for v, w in sorted(cands))
+    # rows are sorted, so v < w and u goes in its place among them.  Each
+    # row then lists its triads in ascending order; a dict keeps them in
+    # that order, once each, and the sort merges the rows' runs
+    found = sorted(dict.fromkeys(
+        (u, v, w) if u < v else (v, u, w) if u < w else (v, w, u)
+        for u, (a, b) in enumerate(zip(bounds, bounds[1:]))
+        for v, w in combinations(cols[a:b], 2)))
     n = graph.n_nodes
     pairs, codes = dyad_table(graph)
     codes = np.append(codes, 0)  # position -1: no dyad

@@ -273,8 +273,8 @@ def run(config: RunConfig) -> int:
         "config": {
             **asdict(config.preprocess),
             "balance_mode": config.balance_mode,
-            "analyses": sorted(config.analyses),
-            "emit": sorted(config.emit),
+            "analyses": sorted(set(config.analyses)),
+            "emit": sorted(set(config.emit)),
         },
         "counts": {
             "before": {"nodes": built.n_nodes, "edges": built.n_edges},

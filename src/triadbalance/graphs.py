@@ -94,9 +94,7 @@ class PreprocessConfig:
     keep_component: str = "giant"
 
     def __post_init__(self):
-        if not (self.sign_threshold == self.sign_threshold):  # NaN guard
-            raise ValueError("sign_threshold must be finite")
-        if abs(self.sign_threshold) == float("inf"):
+        if not math.isfinite(self.sign_threshold):
             raise ValueError("sign_threshold must be finite")
         if self.aggregate_rule not in AGGREGATE_RULES:
             raise ValueError(f"unknown aggregate_rule {self.aggregate_rule!r}")

@@ -56,22 +56,22 @@ class CompositionTable:
 
 def _table(counts: dict, basis: str) -> CompositionTable:
     total = sum(counts.values())
-    proportions = {k: (counts.get(k, 0) / total if total else 0.0)
+    proportions = {k: (counts[k] / total if total else 0.0)
                    for k in COMPOSITION_KEYS}
     return CompositionTable(proportions=proportions,
-                            counts={k: counts.get(k, 0) for k in COMPOSITION_KEYS},
+                            counts={k: counts[k] for k in COMPOSITION_KEYS},
                             basis=basis, total=total)
 
 
 def composition_directed(graph: SignedDigraph) -> CompositionTable:
     """Sign multisets of every transitive triple across all transitive triads."""
-    return _table(dict(tallies_of(graph).composition), "directed-triples")
+    return _table(tallies_of(graph).composition, "directed-triples")
 
 
 def composition_undirected(graph: SignedDigraph) -> CompositionTable:
     """Sign multisets of all closed triangles of the digraph's undirected
     projection."""
-    return _table(dict(tallies_of(graph).undirected), "undirected-triangles")
+    return _table(tallies_of(graph).undirected, "undirected-triangles")
 
 
 @dataclass(frozen=True)

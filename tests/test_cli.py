@@ -330,6 +330,24 @@ def test_manifest_counts_match_dump(tmp_path):
     assert manifest["counts"]["after"]["edges"] == reloaded.n_edges
 
 
+def test_duplicated_flags_leave_the_manifest_unchanged(tmp_path):
+    # the same work, asked for twice over, is recorded once
+    data = _write(tmp_path, "g.tsv", TRIANGLE_TSV)
+    manifests = []
+    for name, analyses, emit in (("plain", "balance,census", "json"),
+                                 ("twice", "census,census,balance",
+                                  "json,json")):
+        out = tmp_path / name
+        assert main(["analyze", "--input", str(data), "--analyses", analyses,
+                     "--emit", emit, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest.pop("created")
+        manifests.append(manifest)
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["config"]["analyses"] == ["balance", "census"]
+    assert manifests[0]["config"]["emit"] == ["json"]
+
+
 def test_gen_random_then_analyze(tmp_path):
     data = tmp_path / "rand.tsv"
     rc = main(["gen-random", "--n", "40", "--edge-prob", "0.2",
@@ -440,9 +458,9 @@ def test_run_tables_script_prints_the_highland_rows(tmp_path):
          "--data", str(data), "--out", str(tmp_path / "reports")],
         capture_output=True, text=True, env=_script_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # one block for the TSV and one for the matrix
-    assert proc.stdout.count("\n  300      0.87   68\n") == 2
-    assert proc.stdout.count("non-partial=0.87 (59/9)") == 2
+    # the tables as analyze wrote them: once for the TSV, once for the matrix
+    assert proc.stdout.count("\n300,0.87,68\n") == 2
+    assert proc.stdout.count("\n0.87,59,0,9,0.87,59,9,0.87,59,9\n") == 2
 
 
 def test_module_runs_as_a_script():

@@ -437,6 +437,12 @@ def test_preprocess_config_rejects_unknown_choices(knob):
         PreprocessConfig(**{knob: "x"})
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_preprocess_config_rejects_a_non_finite_threshold(threshold):
+    with pytest.raises(ValueError, match="sign_threshold must be finite"):
+        PreprocessConfig(sign_threshold=float(threshold))
+
+
 def test_zero_sign_rejected():
     with pytest.raises(ValueError, match="sign"):
         SignedDigraph([("a", "b", 0)])

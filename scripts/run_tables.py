@@ -6,7 +6,8 @@ the partial / non-partial / undirected comparison and the network metrics.
 Report files land in reports/<dataset>/; the console output is the CSV
 tables of that run, printed as written.  Datasets are discovered by
 extension: *.tsv (tsv-sign), *.csv (csv-rating), *_matrix.txt
-(signed-matrix).
+(signed-matrix).  Every dataset is run; the exit status is 1 when none is
+found or any run fails.
 
 Usage:
     python3 scripts/run_tables.py [--data data] [--out reports]
@@ -30,7 +31,9 @@ def _discover(data_dir: Path):
             yield path, "csv-rating"
 
 
-def summarize(path: Path, fmt: str, out_root: Path) -> None:
+def summarize(path: Path, fmt: str, out_root: Path) -> int:
+    """Run the analysis on one dataset, print its tables and return the
+    run's exit status."""
     name = path.stem
     print(f"\n=== {name} ({fmt}) ===")
     out_dir = out_root / name
@@ -38,10 +41,11 @@ def summarize(path: Path, fmt: str, out_root: Path) -> None:
                            out_dir=str(out_dir)))
     if status != 0:
         print(f"  run exited with status {status}; skipping tables")
-        return
+        return status
     for table in TABLES:
         print(f"\n{table}")
         print((out_dir / table).read_text(encoding="utf-8"), end="")
+    return 0
 
 
 def main() -> int:
@@ -53,14 +57,12 @@ def main() -> int:
     if not data_dir.is_dir():
         print(f"no data directory at {data_dir}", file=sys.stderr)
         return 1
-    found = False
-    for path, fmt in _discover(data_dir):
-        found = True
-        summarize(path, fmt, Path(args.out))
-    if not found:
+    statuses = [summarize(path, fmt, Path(args.out))
+                for path, fmt in _discover(data_dir)]
+    if not statuses:
         print("no datasets found; see scripts/fetch_datasets.py", file=sys.stderr)
         return 1
-    return 0
+    return 1 if any(statuses) else 0
 
 
 if __name__ == "__main__":

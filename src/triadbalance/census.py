@@ -256,7 +256,7 @@ class TriadTallies:
     dyads (see `census`).
     `undirected` counts the projection's triangles, which have no reciprocal
     pair of opposite signs (`cancelled`), by sign multiset; `undirected_only`
-    lists those without a transitive triple as sorted node-id triples.
+    lists those without a transitive triple; both are sorted node-index rows.
     `node_triangles` holds the triangle count of each node index.
     """
 
@@ -381,8 +381,6 @@ def scan_triads(graph: SignedDigraph) -> TriadTallies:
         total = TRIPLES_PER_TYPE[cls]
         cls_counts[0 if balanced == total else 1 if balanced else 2] += k
     triads = np.concatenate(undirected_only)
-    # index order is id order, so this is the order of the id triples
-    triads = triads[np.lexsort(triads.T[::-1])].tolist()
     del bit, opened  # the dyad kinds below need the room
     # per rank, its out-only (column 1), in-only (2) and mutual (3) dyads
     ends = np.concatenate([tail, head]).astype(np.int64)
@@ -392,22 +390,20 @@ def scan_triads(graph: SignedDigraph) -> TriadTallies:
     # the cancelling codes are their own swaps, so either end may come first
     cancel = np.isin(code, _CANCELLING)
     ends = np.sort(node[np.stack([tail[cancel], head[cancel]])], axis=0)
-    cancelled = ends[:, np.argsort(ends[0] * n + ends[1])].tolist()
     # int64 sums cannot wrap: each is at most (edges) * (nodes)
     open_wedges = {
         "021D": o * (o - 1) // 2, "021U": i * (i - 1) // 2, "021C": o * i,
         "111U": m * o, "111D": m * i, "201": m * (m - 1) // 2}
-    ids = graph.ids
     return TriadTallies(
         census=census,
         type_balanced=type_balanced,
         classification=dict(zip(CLASSIFICATIONS, cls_counts)),
         composition=dict(zip(_COMPOSITIONS, comp)),
         undirected=dict(zip(_COMPOSITIONS, und)),
-        undirected_only=[(ids[u], ids[v], ids[w]) for u, v, w in triads],
+        undirected_only=triads[np.lexsort(triads.T[::-1])].tolist(),
         open_wedges={cls: int(w.sum()) for cls, w in open_wedges.items()},
         mutual=int(m.sum()) // 2,
-        cancelled=[(ids[u], ids[v]) for u, v in zip(*cancelled)],
+        cancelled=ends[:, np.argsort(ends[0] * n + ends[1])].T.tolist(),
         node_triangles=tuple(node_triangles.tolist()),
     )
 

@@ -121,8 +121,10 @@ def compare_report(graph: SignedDigraph) -> dict:
     doc = _balance_doc(balance.build_report(graph))
     # projected triangles are the digraph's triangles without a cancelled
     # pair; those of a non-transitive class are inflation by the projection
-    undirected_only = [list(tri) for tri in tallies.undirected_only]
-    cancelled = [list(p) for p in tallies.cancelled]
+    ids = graph.ids  # the pass lists node indices, in id order
+    cancelled = [[ids[u], ids[v]] for u, v in tallies.cancelled]
+    undirected_only = [[ids[u], ids[v], ids[w]]
+                       for u, v, w in tallies.undirected_only]
     return {
         "directed_partial": {
             "ratio": doc["overall_type_mean"],

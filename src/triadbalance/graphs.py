@@ -102,6 +102,15 @@ class PreprocessConfig:
             raise ValueError(f"unknown keep_component {self.keep_component!r}")
 
 
+def _check_ids(ids) -> None:
+    """Reject an empty or padded id, or one holding a TAB, CR or LF: the
+    canonical dump would not read it back as itself."""
+    for u in ids:
+        if not u or u != u.strip() or "\t" in u or "\r" in u or "\n" in u:
+            raise ValueError(f"node id {u!r} is empty, padded or holds a "
+                             f"TAB, CR or LF")
+
+
 class SignedDigraph:
     """Immutable signed directed graph.
 
@@ -131,11 +140,7 @@ class SignedDigraph:
             id_set.add(u)
             id_set.add(v)
         ids = tuple(sorted(id_set))
-        for u in ids:
-            # the canonical dump must read every id back as itself
-            if not u or u != u.strip() or "\t" in u or "\r" in u or "\n" in u:
-                raise ValueError(f"node id {u!r} is empty, padded or holds a "
-                                 f"TAB, CR or LF")
+        _check_ids(ids)
         index = dict(zip(ids, range(len(ids))))
         pair = np.array([index[u] * len(ids) + index[v]
                          for u, v, _ in edge_list], dtype=np.int64)
@@ -540,11 +545,12 @@ def build_graph(columns: EdgeColumns,
                 config: PreprocessConfig | None = None) -> SignedDigraph:
     """Collapse raw edge columns into a signed digraph.
 
-    The columns' positions index its ids, which must be strictly increasing;
-    columns that break this raise ValueError.  Parallel records for one
-    ordered pair (one pair of positions) are aggregated by the configured
-    rule; the aggregate is compared against the sign threshold (above -> +1,
-    below -> -1, exactly at it -> edge dropped).  Self-loops are dropped.
+    The columns' positions index its ids, which must be strictly increasing
+    and pass `SignedDigraph`'s id rule; columns that break this raise
+    ValueError.  Parallel records for one ordered pair (one pair of
+    positions) are aggregated by the configured rule; the aggregate is
+    compared against the sign threshold (above -> +1, below -> -1, exactly
+    at it -> edge dropped).  Self-loops are dropped.
     Only nodes with a surviving edge are kept.
     """
     config = config or PreprocessConfig()
@@ -557,6 +563,7 @@ def build_graph(columns: EdgeColumns,
                          f"{len(dst)} targets, {len(weight)} weights")
     if not all(map(operator.lt, names, names[1:])):
         raise ValueError("ids are not strictly increasing")
+    _check_ids(names)
     if len(src) and (min(src.min(), dst.min()) < 0
                      or max(src.max(), dst.max()) >= n):
         raise ValueError(f"a position outside the {n} ids")

@@ -158,11 +158,14 @@ def _assert_tallies_match_oracle(g, tallies):
     signs = {(u, v): s for u, v, s in g.edge_items()}
     cancelled = {(u, v) for (u, v), s in signs.items()
                  if signs.get((v, u), s) != s}
-    assert tallies.undirected_only == sorted(
+    # the pass lists node-index rows; the oracle names its triads by id
+    assert [tuple(g.ids[i] for i in row)
+            for row in tallies.undirected_only] == sorted(
         nodes for nodes, cls, _ in reference.triads
         if cls in ("030C", "120C", "210")
         and not any(p in cancelled for p in permutations(nodes, 2)))
-    assert tallies.cancelled == sorted((u, v) for u, v in cancelled if u < v)
+    assert [(g.ids[u], g.ids[v]) for u, v in tallies.cancelled] == sorted(
+        (u, v) for u, v in cancelled if u < v)
     near = {u: set() for u in g.ids}
     for u, v in signs:
         near[u].add(v)
@@ -254,6 +257,28 @@ def test_view_of_a_given_pass_equals_its_own_pass(name):
     assert fresh._tallies is None
     assert view(g, *args) == view(fresh, *args)
     assert fresh._tallies == tallies
+
+
+class _UnreadableIds:
+    """Node ids that keep their count but raise when one is read."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        raise AssertionError("the triangle pass read a node id")
+
+
+def test_scan_reads_no_node_id():
+    g = _mismatched_digraph(40, 0.2, 5)
+    blind = SignedDigraph._from_arrays(_UnreadableIds(g.n_nodes), g.src,
+                                       g.dst, g.sgn)
+    tallies = scan_triads(blind)
+    assert tallies.cancelled and tallies.undirected_only
+    assert tallies == scan_triads(g)
 
 
 # -- census ----------------------------------------------------------------------

@@ -463,6 +463,20 @@ def test_run_tables_script_prints_the_highland_rows(tmp_path):
     assert proc.stdout.count("\n0.87,59,0,9,0.87,59,9,0.87,59,9\n") == 2
 
 
+def test_run_tables_script_exits_1_when_a_run_fails(tmp_path):
+    # a two-edge chain has no transitive triad, so balance is undefined and
+    # its run exits 3
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "chain.tsv").write_text("a\tb\t1\nb\tc\t1\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "run_tables.py"),
+         "--data", str(data), "--out", str(tmp_path / "reports")],
+        capture_output=True, text=True, env=_script_env(), timeout=120)
+    assert "run exited with status 3" in proc.stdout
+    assert proc.returncode == 1
+
+
 def test_module_runs_as_a_script():
     # `python -m triadbalance.cli` reaches `main` through the __main__ guard
     proc = subprocess.run(

@@ -431,6 +431,17 @@ def test_node_ids_are_strings_however_given():
         SignedDigraph([("a", "b", 1)], nodes=["c "])
 
 
+@pytest.mark.parametrize("bad", [" a", "", "a\tx", "c\n"])
+def test_both_builders_reject_ids_the_dump_cannot_read_back(bad):
+    ids = sorted([bad, "m", "z"])
+    columns = EdgeColumns(ids, np.array([0, 1]), np.array([1, 2]),
+                          np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="node id"):
+        build_graph(columns)
+    with pytest.raises(ValueError, match="node id"):
+        SignedDigraph([(ids[0], ids[1], 1), (ids[1], ids[2], 1)])
+
+
 @pytest.mark.parametrize("knob", ["aggregate_rule", "keep_component"])
 def test_preprocess_config_rejects_unknown_choices(knob):
     with pytest.raises(ValueError, match=f"unknown {knob} 'x'"):
@@ -736,7 +747,8 @@ def test_projection_mismatch_cancels():
     g = SignedDigraph([("u", "v", 1), ("v", "u", -1)])
     p = project_undirected(g)
     assert not p.has_edge("u", "v")
-    assert scan_triads(g).cancelled == [("u", "v")]
+    assert [(g.ids[u], g.ids[v]) for u, v in scan_triads(g).cancelled] \
+        == [("u", "v")]
 
 
 @given(seed=st.integers(0, 10**6))
@@ -781,7 +793,8 @@ def test_cancelled_pairs_match_reference(seed):
     signs = _signs(g)
     want = sorted({(min(u, v), max(u, v)) for (u, v), s in signs.items()
                    if signs.get((v, u), s) != s})
-    assert scan_triads(g).cancelled == want
+    assert [(g.ids[u], g.ids[v]) for u, v in scan_triads(g).cancelled] \
+        == want
     # a kept pair takes the sign of its edges, in both directions
     assert _signs(project_undirected(g)) == {
         pair: s for (u, v), s in signs.items() if (min(u, v), max(u, v))

@@ -23,8 +23,9 @@ from pathlib import Path
 from . import __version__, balance, oracle, signstats
 from .census import TRIAD_TYPES, census, tallies_of
 from .errors import FormatError, ParseError, UndefinedResultError
-from .graphs import (INPUT_FORMATS, PreprocessConfig, SignedDigraph,
-                     build_graph, dump_tsv, load_edge_records, preprocess)
+from .graphs import (INPUT_FORMATS, KEEP_COMPONENTS, PreprocessConfig,
+                     SignedDigraph, build_graph, dump_tsv, load_edge_records,
+                     preprocess)
 
 ANALYSES = ("census", "balance", "composition", "metrics", "undirected-compare")
 
@@ -313,7 +314,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-prune-pendants", action="store_true",
                         help="keep degree-1 nodes")
     parser.add_argument("--component", default="giant",
-                        choices=("giant", "all"),
+                        choices=KEEP_COMPONENTS,
                         help="component selection (default giant)")
     parser.add_argument("--out", default="reports", help="output directory")
     parser.add_argument("--emit", default="json,csv",
@@ -382,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _oracle_check(args: argparse.Namespace) -> int:
-    from .oracle import ORACLE_MAX_NODES, random_signed_digraph
-
     n = args.n
     try:
         if args.input:
@@ -391,12 +390,12 @@ def _oracle_check(args: argparse.Namespace) -> int:
             graph = preprocess(build_graph(records))
             n = graph.n_nodes
         # checked before a random graph is drawn, in O(n^2) time and memory
-        if n > ORACLE_MAX_NODES:
+        if n > oracle.ORACLE_MAX_NODES:
             raise ValueError(
-                f"oracle supports at most {ORACLE_MAX_NODES} nodes")
+                f"oracle supports at most {oracle.ORACLE_MAX_NODES} nodes")
         if not args.input:
-            graph = random_signed_digraph(n, args.edge_prob, args.neg_prob,
-                                          args.seed)
+            graph = oracle.random_signed_digraph(n, args.edge_prob,
+                                                 args.neg_prob, args.seed)
     except (ValueError, OSError) as exc:
         return _input_error(exc)
     from .crosscheck import compare_with_oracle

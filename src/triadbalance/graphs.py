@@ -220,21 +220,27 @@ class SignedDigraph:
                            self.sgn.tolist()):
             yield ids[u], ids[v], s
 
-    def subgraph(self, keep: Iterable[int]) -> "SignedDigraph":
-        """New graph restricted to the given node indices.
+    def subgraph(self, keep: np.ndarray) -> "SignedDigraph":
+        """The graph on the nodes where the boolean mask `keep` (one entry
+        per node index) is True and the edges between them; the graph
+        itself, triangle pass and all, when every node is kept.
 
-        Ids are sorted, so the kept indices are renumbered in their own
-        order, which keeps the edges sorted; nothing goes back through the
-        id strings.
+        Ids are sorted, so one cumulative sum renumbers the kept nodes in
+        index order and the edges stay sorted.  An index array, or anything
+        else but such a mask, raises ValueError.
         """
-        keep = np.unique(np.fromiter(keep, dtype=np.int64))
-        position = np.full(self.n_nodes, -1, dtype=np.int64)
-        position[keep] = np.arange(len(keep))
-        src, dst = position[self.src], position[self.dst]
-        inside = (src >= 0) & (dst >= 0)
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (self.n_nodes,):
+            raise ValueError(f"keep must be a boolean mask of {self.n_nodes} "
+                             f"nodes, got {keep.dtype} of shape {keep.shape}")
+        if keep.all():
+            return self
+        inside = keep[self.src] & keep[self.dst]
+        position = np.cumsum(keep) - 1
         return SignedDigraph._from_arrays(
-            tuple(self.ids[i] for i in keep.tolist()), src[inside],
-            dst[inside], self.sgn[inside])
+            tuple(self.ids[i] for i in np.flatnonzero(keep).tolist()),
+            position[self.src[inside]], position[self.dst[inside]],
+            self.sgn[inside])
 
     def __repr__(self):
         return f"SignedDigraph(n={self.n_nodes}, m={self.n_edges})"
@@ -323,8 +329,8 @@ def load_edge_records(source, fmt: str) -> EdgeColumns:
     Formats:
         csv-rating:    source,target,rating[,timestamp]
         tsv-sign:      source TAB target TAB sign, the sign +1 or -1
-        signed-matrix: square whitespace/comma separated integer matrix,
-                       rows are senders; zero cells produce no record
+        signed-matrix: square whitespace/comma separated matrix of finite
+                       reals, rows are senders; zero cells produce no record
 
     The input is read once, as bytes (`_read`), and decoded as utf-8-sig.
     A regular tsv-sign text is split in one pass over those bytes, which
@@ -551,7 +557,7 @@ def build_graph(columns: EdgeColumns,
     positions) are aggregated by the configured rule; the aggregate is
     compared against the sign threshold (above -> +1, below -> -1, exactly
     at it -> edge dropped).  Self-loops are dropped.
-    Only nodes with a surviving edge are kept.
+    `subgraph` then drops the ids that have no surviving edge.
     """
     config = config or PreprocessConfig()
     names, sources, targets, weights = columns
@@ -581,20 +587,18 @@ def build_graph(columns: EdgeColumns,
             agg = agg / np.bincount(group, minlength=len(pairs))
     positive = agg > config.sign_threshold
     signed = positive | (agg < config.sign_threshold)  # at it: neutral
-    # only nodes with a surviving edge get an id, renumbered in their order
     src, dst = np.divmod(pairs[signed], n)
     used = np.zeros(n, dtype=bool)
     used[src] = used[dst] = True
-    renumber = np.cumsum(used) - 1
     return SignedDigraph._from_arrays(
-        tuple(names[i] for i in np.flatnonzero(used).tolist()),
-        renumber[src], renumber[dst], np.where(positive[signed], 1, -1))
+        tuple(names), src, dst,
+        np.where(positive[signed], 1, -1)).subgraph(used)
 
 
 def largest_component(n_nodes: int, src: np.ndarray,
                       dst: np.ndarray) -> tuple[np.ndarray, int]:
-    """Indices of the largest weakly-connected component of the graph with
-    the given edges, and the number of components.
+    """The largest weakly-connected component of the graph with the given
+    edges as a boolean node mask, and the number of components (0 on 0).
 
     Labels come from min-label hooking with pointer jumping, so each node
     ends up labelled with the smallest index of its component.  Size ties
@@ -619,31 +623,29 @@ def largest_component(n_nodes: int, src: np.ndarray,
         if np.array_equal(hooked, label):
             break
         label = hooked
-    sizes = np.bincount(label, minlength=n_nodes)
-    count = int(np.count_nonzero(sizes))
-    if not count:
-        return np.zeros(0, dtype=np.int64), 0
+    # one bin at least, so argmax has one on 0 nodes too
+    sizes = np.bincount(label, minlength=1)
     # labels are component minima, so argmax's first maximum is the tie rule
-    return np.flatnonzero(label == np.argmax(sizes)), count
+    return label == np.argmax(sizes), int(np.count_nonzero(sizes))
 
 
 def preprocess(graph: SignedDigraph,
                config: PreprocessConfig | None = None) -> SignedDigraph:
-    """Giant-component selection plus optional iterative pendant pruning.
+    """Giant-component selection plus optional iterative pendant pruning,
+    on one keep mask that `graph.subgraph` applies.
 
     Pruning drops nodes of total degree <= 1 (a mutual dyad counts twice)
     until none is left; they can never sit in a triad.  A pruned node has
     at most one neighbour, so removing it never disconnects the rest: the
-    pruned giant component is still connected and needs no second
-    selection.
+    pruned giant component stays connected and needs no second selection.
     """
     config = config or PreprocessConfig()
     n = graph.n_nodes
     src, dst = graph.src, graph.dst
-    keep = np.ones(n, dtype=bool)
     if config.keep_component == "giant":
-        keep[:] = False
-        keep[largest_component(n, src, dst)[0]] = True
+        keep = largest_component(n, src, dst)[0]
+    else:
+        keep = np.ones(n, dtype=bool)
     if config.prune_pendants:
         live = keep[src] & keep[dst]
         degree = (np.bincount(src[live], minlength=n)
@@ -665,9 +667,7 @@ def preprocess(graph: SignedDigraph,
                     degree[v] -= 1
                     if degree[v] <= 1:
                         stack.append(v)
-    if keep.all():
-        return graph
-    return graph.subgraph(np.flatnonzero(keep))
+    return graph.subgraph(keep)
 
 
 # -- undirected projection -----------------------------------------------------

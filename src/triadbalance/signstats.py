@@ -184,15 +184,14 @@ def metrics(graph: SignedDigraph) -> GraphMetrics:
     """
     giant, component_count = largest_component(graph.n_nodes, graph.src,
                                                graph.dst)
-    n = len(giant)
+    n = int(np.count_nonzero(giant))
     if n < 2:
         raise UndefinedResultError("average path length undefined: the giant "
                                    "component has fewer than two nodes")
     # a triangle never spans two components
     tri_per_node = np.array(tallies_of(graph).node_triangles,
                             dtype=np.int64)[giant]
-    if n < graph.n_nodes:
-        graph = graph.subgraph(giant)
+    graph = graph.subgraph(giant)
     src, dst = graph.src, graph.dst
     density = len(src) / (n * (n - 1))
 

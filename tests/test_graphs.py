@@ -13,7 +13,7 @@ from triadbalance import (EdgeColumns, PreprocessConfig, SignedDigraph,
                           scan_triads, tallies_of)
 from triadbalance.errors import FormatError, ParseError
 from triadbalance.graphs import (AGGREGATE_RULES, _parse_lines, _parse_matrix,
-                                 _split_regular, find_keys)
+                                 _split_regular, find_keys, largest_component)
 from triadbalance.oracle import random_signed_digraph
 
 
@@ -50,10 +50,13 @@ def test_matrix_two_cells():
 
 
 def test_matrix_cells_in_row_major_order():
-    cols = load_edge_records(io.StringIO("0 2 -3\n4 0 0\n5 6 0\n"),
-                             "signed-matrix")
-    assert _lists(cols) == (["0", "0", "1", "2", "2"], ["1", "2", "0", "0", "1"],
-                            [2.0, -3.0, 4.0, 5.0, 6.0])
+    # any finite number is a weight, and commas separate cells too
+    for text, weights in [
+            ("0 2 -3\n4 0 0\n5 6 0\n", [2.0, -3.0, 4.0, 5.0, 6.0]),
+            ("0 2 -3\n0.5,0,0\n-2.5, 1e0 ,0\n", [2.0, -3.0, 0.5, -2.5, 1.0])]:
+        cols = load_edge_records(io.StringIO(text), "signed-matrix")
+        assert _lists(cols) == (["0", "0", "1", "2", "2"],
+                                ["1", "2", "0", "0", "1"], weights)
 
 
 def test_matrix_zero_cells_produce_no_record():
@@ -597,6 +600,58 @@ def test_mutual_dyad_counts_twice_for_degree():
     g = SignedDigraph([("a", "b", 1), ("b", "a", 1)])
     pre = preprocess(g)
     assert pre.nodes == {"a", "b"}
+
+
+def test_subgraph_of_an_all_true_mask_is_the_graph_itself():
+    g = random_signed_digraph(12, 0.3, 0.4, 5)
+    tallies = tallies_of(g)
+    kept = g.subgraph(np.ones(g.n_nodes, dtype=bool))
+    assert kept is g
+    assert kept._tallies is tallies
+
+
+def test_subgraph_of_an_all_false_mask_is_empty():
+    g = random_signed_digraph(12, 0.3, 0.4, 5)
+    empty = g.subgraph(np.zeros(g.n_nodes, dtype=bool))
+    assert (empty.ids, empty.n_edges) == ((), 0)
+
+
+@pytest.mark.parametrize("keep", [
+    np.array([0, 2]), np.arange(12), [0, 1], np.ones(11, dtype=bool),
+    np.ones(13, dtype=bool), np.ones((12, 1), dtype=bool)],
+    ids=["indices", "all-indices", "index-list", "short", "long", "2d"])
+def test_subgraph_takes_only_a_boolean_node_mask(keep):
+    g = random_signed_digraph(12, 0.3, 0.4, 5)
+    with pytest.raises(ValueError, match="boolean mask of 12 nodes"):
+        g.subgraph(keep)
+
+
+def test_largest_component_of_no_nodes_is_an_empty_mask():
+    none = np.zeros(0, dtype=np.int64)
+    mask, count = largest_component(0, none, none)
+    assert (mask.dtype, mask.shape, count) == (np.dtype(bool), (0,), 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_largest_component_without_edges_is_node_0(k):
+    none = np.zeros(0, dtype=np.int64)
+    mask, count = largest_component(k, none, none)
+    assert mask.dtype == bool
+    assert mask.tolist() == [True] + [False] * (k - 1)
+    assert count == k
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_subgraph_matches_a_set_restriction(seed):
+    # sparse enough that some nodes have no edge, kept or dropped
+    g = random_signed_digraph(30, 0.04, 0.4, seed)
+    assert set(range(g.n_nodes)) - set(g.src.tolist()) - set(g.dst.tolist())
+    keep = np.random.default_rng(seed).random(g.n_nodes) < 0.6
+    kept = {g.ids[i] for i in range(g.n_nodes) if keep[i]}
+    sub = g.subgraph(keep)
+    assert sub.ids == tuple(sorted(kept))
+    assert list(sub.edge_items()) == [(u, v, s) for u, v, s in g.edge_items()
+                                      if u in kept and v in kept]
 
 
 @given(seed=st.integers(0, 10**6))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -69,14 +70,8 @@ def _input_error(message) -> int:
     return EXIT_INPUT
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
-def _write_csv(path: Path, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _load_preprocessed(
@@ -176,10 +171,10 @@ def _compare_csv_rows(doc: dict) -> list:
     return [header, row]
 
 
-def _reports(config: RunConfig, graph: SignedDigraph) -> dict[str, object]:
-    """Report file name -> JSON document or CSV rows, for every selected
-    analysis and emit format.  Raises UndefinedResultError when a selected
-    figure is undefined, such as balance without transitive triads."""
+def _reports(config: RunConfig, graph: SignedDigraph) -> dict[str, str]:
+    """Report file name -> the file's text, for every selected analysis and
+    emit format.  Raises UndefinedResultError when a selected figure is
+    undefined, such as balance without transitive triads."""
     analyses = set(config.analyses)
     docs: dict[str, tuple[dict, list]] = {}
 
@@ -220,12 +215,14 @@ def _reports(config: RunConfig, graph: SignedDigraph) -> dict[str, object]:
         doc = compare_report(graph)
         docs["compare"] = (doc, _compare_csv_rows(doc))
 
-    reports: dict[str, object] = {}
+    reports: dict[str, str] = {}
     for stem, (doc, rows) in docs.items():
         if "json" in config.emit:
-            reports[f"{stem}.json"] = doc
+            reports[f"{stem}.json"] = _json_text(doc)
         if "csv" in config.emit:
-            reports[f"{stem}.csv"] = rows
+            text = io.StringIO()
+            csv.writer(text, lineterminator="\n").writerows(rows)
+            reports[f"{stem}.csv"] = text.getvalue()
     return reports
 
 
@@ -234,8 +231,11 @@ def run(config: RunConfig) -> int:
 
     Every report is computed before the first file is written, so a run
     that fails on its input or its figures leaves no report directory
-    behind it.  A failed write, such as a directory in a report's place,
-    exits 2 and keeps the files written before it.
+    behind it.  Writing then removes any earlier `manifest.json` from the
+    directory, writes `graph.tsv` and the reports, and writes the manifest
+    last: a directory holds a manifest only when every file it lists is
+    from its run.  A failed write, such as a directory in a report's place,
+    exits 2 and leaves no manifest.
     """
     try:
         config.validate()
@@ -285,15 +285,13 @@ def run(config: RunConfig) -> int:
         },
         "reports": sorted(["graph.tsv", *reports]),
     }
+    reports["manifest.json"] = _json_text(manifest)  # last: the run's marker
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "manifest.json").unlink(missing_ok=True)
         dump_tsv(pre, out_dir / "graph.tsv")
-        for name, payload in reports.items():
-            if name.endswith(".json"):
-                _write_json(out_dir / name, payload)
-            else:
-                _write_csv(out_dir / name, payload)
-        _write_json(out_dir / "manifest.json", manifest)
+        for name, text in reports.items():
+            (out_dir / name).write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
         return _input_error(f"cannot write reports to {out_dir}: {exc}")
     return EXIT_OK

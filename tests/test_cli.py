@@ -513,6 +513,26 @@ def test_failed_report_write_exits_2(tmp_path, capsys, blocked):
     assert f"error: cannot write reports to {out}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blocked", ["graph.tsv", "balance.json", "census.csv"])
+def test_failed_write_leaves_no_manifest(tmp_path, capsys, blocked):
+    # a run removes the earlier manifest first and writes its own last, so
+    # a half-written directory holds none that names another run's input
+    first = _write(tmp_path, "a.tsv", TRIANGLE_TSV)
+    second = _write(tmp_path, "b.tsv", CYCLE_PLUS_030T_TSV)
+    out = tmp_path / "out"
+    args = ["analyze", "--analyses", "census,balance", "--out", str(out)]
+    assert main([*args, "--input", str(first)]) == 0
+    (out / blocked).unlink()
+    (out / blocked).mkdir()
+    assert main([*args, "--input", str(second)]) == 2
+    assert f"error: cannot write reports to {out}: " in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    (out / blocked).rmdir()
+    assert main([*args, "--input", str(second)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["input"]["path"] == str(second)
+
+
 def _schema(value):
     """A JSON document's keys, nested: a dict maps each key to its value's
     schema, a list gives its elements' distinct schemas, anything else None."""

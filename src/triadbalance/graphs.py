@@ -122,10 +122,11 @@ class SignedDigraph:
         src:   int64 source index of each edge
         dst:   int64 target index of each edge
         sgn:   int8 sign of each edge, +1 | -1
-    The graph's triangle pass is kept in `_tallies` by `census.tallies_of`.
+    The graph's triangle pass is kept in `_tallies` by `census.tallies_of`,
+    and its giant component in `_giant` by `giant_of`.
     """
 
-    __slots__ = ("ids", "_index", "_tallies", "src", "dst", "sgn")
+    __slots__ = ("ids", "_index", "_tallies", "_giant", "src", "dst", "sgn")
 
     def __new__(cls, edges: Iterable[tuple[str, str, int]] = (),
                 nodes: Iterable[str] = ()):
@@ -160,7 +161,7 @@ class SignedDigraph:
         g = object.__new__(cls)
         g.ids = ids
         g._index = None
-        g._tallies = None
+        g._tallies = g._giant = None
         g.src = np.asarray(src, dtype=np.int64)
         g.dst = np.asarray(dst, dtype=np.int64)
         g.sgn = np.asarray(sgn, dtype=np.int8)
@@ -629,6 +630,17 @@ def largest_component(n_nodes: int, src: np.ndarray,
     return label == np.argmax(sizes), int(np.count_nonzero(sizes))
 
 
+def giant_of(graph: SignedDigraph) -> tuple[np.ndarray, int]:
+    """The graph's `largest_component` mask, read-only, and its number of
+    components: computed on first use and kept with the graph, which never
+    changes."""
+    if graph._giant is None:
+        mask, count = largest_component(graph.n_nodes, graph.src, graph.dst)
+        mask.flags.writeable = False
+        graph._giant = mask, count
+    return graph._giant
+
+
 def preprocess(graph: SignedDigraph,
                config: PreprocessConfig | None = None) -> SignedDigraph:
     """Giant-component selection plus optional iterative pendant pruning,
@@ -637,13 +649,15 @@ def preprocess(graph: SignedDigraph,
     Pruning drops nodes of total degree <= 1 (a mutual dyad counts twice)
     until none is left; they can never sit in a triad.  A pruned node has
     at most one neighbour, so removing it never disconnects the rest: the
-    pruned giant component stays connected and needs no second selection.
+    pruned giant component stays connected and needs no second selection,
+    so a graph that lost nodes to it is handed that answer for `giant_of`.
     """
     config = config or PreprocessConfig()
     n = graph.n_nodes
     src, dst = graph.src, graph.dst
-    if config.keep_component == "giant":
-        keep = largest_component(n, src, dst)[0]
+    giant = config.keep_component == "giant"
+    if giant:
+        keep = giant_of(graph)[0].copy()
     else:
         keep = np.ones(n, dtype=bool)
     if config.prune_pendants:
@@ -667,7 +681,10 @@ def preprocess(graph: SignedDigraph,
                     degree[v] -= 1
                     if degree[v] <= 1:
                         stack.append(v)
-    return graph.subgraph(keep)
+    result = graph.subgraph(keep)
+    if giant and result is not graph and result.n_nodes:
+        result._giant = np.broadcast_to(True, result.n_nodes), 1  # read-only
+    return result
 
 
 # -- undirected projection -----------------------------------------------------

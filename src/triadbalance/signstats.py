@@ -24,7 +24,7 @@ import numpy as np
 
 from .census import tallies_of
 from .errors import UndefinedResultError
-from .graphs import SignedDigraph, largest_component, skeleton_csr
+from .graphs import SignedDigraph, giant_of, skeleton_csr
 
 #: export order for composition columns
 COMPOSITION_KEYS = ("+++", "+--", "++-", "---")
@@ -180,10 +180,10 @@ def metrics(graph: SignedDigraph) -> GraphMetrics:
 
     The component count refers to the graph as passed in; everything else is
     evaluated after giant-component selection (without pendant pruning).
-    Triangles come from the graph's one triangle pass (`tallies_of`).
+    The component comes from `giant_of` and the triangles from the graph's
+    one triangle pass (`tallies_of`), both kept with the graph.
     """
-    giant, component_count = largest_component(graph.n_nodes, graph.src,
-                                               graph.dst)
+    giant, component_count = giant_of(graph)
     n = int(np.count_nonzero(giant))
     if n < 2:
         raise UndefinedResultError("average path length undefined: the giant "

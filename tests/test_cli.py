@@ -11,11 +11,14 @@ import pytest
 
 import triadbalance
 import triadbalance.crosscheck
+import triadbalance.graphs
 import triadbalance.oracle
+import triadbalance.signstats
 from triadbalance import load_tsv
 from triadbalance.census import (CLASSIFICATIONS, TRIAD_TYPES,
                                  resolve_workers)
 from triadbalance.cli import RunConfig, main, run
+from triadbalance.graphs import largest_component
 from triadbalance.signstats import COMPOSITION_KEYS, METRIC_BASIS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -337,7 +340,7 @@ def test_duplicated_flags_leave_the_manifest_unchanged(tmp_path):
     for name, analyses, emit in (("plain", "balance,census", "json"),
                                  ("twice", "census,census,balance",
                                   "json,json")):
-        out = tmp_path / name
+        out = tmp_path / f"out-{name}"
         assert main(["analyze", "--input", str(data), "--analyses", analyses,
                      "--emit", emit, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -422,7 +425,7 @@ def test_byte_order_mark_changes_nothing(tmp_path):
     for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
         data = tmp_path / f"{name}.csv"
         data.write_bytes(prefix + text.encode("utf-8"))
-        out = tmp_path / name
+        out = tmp_path / f"out-{name}"
         rc = main(["analyze", "--input", str(data), "--format", "csv-rating",
                    "--out", str(out)])
         assert rc == 0, name
@@ -599,9 +602,47 @@ def test_report_json_schema(tmp_path):
     }
 
 
+def test_one_giant_component_per_run(tmp_path, monkeypatch):
+    # preprocess and metrics share the built graph's component, and a graph
+    # that lost nodes to preprocess is handed its (whole) giant component
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return largest_component(*args)
+
+    for module in (triadbalance.graphs, triadbalance.signstats):
+        if hasattr(module, "largest_component"):
+            monkeypatch.setattr(module, "largest_component", counting)
+    pendants = TRIANGLE_TSV + "c\td\t+1\nd\te\t-1\nx\ty\t+1\n"
+    for name, text, before, after in (("g.tsv", TRIANGLE_TSV, 3, 3),
+                                      ("p.tsv", pendants, 7, 3)):
+        out = tmp_path / f"out-{name}"
+        data = _write(tmp_path, name, text)
+        assert run(RunConfig(input_path=str(data), out_dir=str(out))) == 0
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        assert (counts["before"]["nodes"], counts["after"]["nodes"]) == (
+            before, after)
+        assert json.loads((out / "metrics.json").read_text())[
+            "component_count"] == 1
+        assert calls == [before]
+        calls.clear()
+
+
 def test_worker_budget_capped_by_cpus():
     # the request is capped by the CPUs this process may run on
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
     assert resolve_workers(8) == min(8, cpus)
     assert resolve_workers(10**6) == cpus
+
+
+def test_worker_budget_without_sched_getaffinity(monkeypatch):
+    # where the affinity call is missing, the CPU count caps the budget,
+    # and one worker is left when even that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert resolve_workers() == 3
+    assert [resolve_workers(r) for r in (1, 2, 3, 8)] == [1, 2, 3, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_workers() == resolve_workers(8) == 1

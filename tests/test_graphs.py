@@ -13,7 +13,8 @@ from triadbalance import (EdgeColumns, PreprocessConfig, SignedDigraph,
                           scan_triads, tallies_of)
 from triadbalance.errors import FormatError, ParseError
 from triadbalance.graphs import (AGGREGATE_RULES, _parse_lines, _parse_matrix,
-                                 _split_regular, find_keys, largest_component)
+                                 _split_regular, find_keys, giant_of,
+                                 largest_component)
 from triadbalance.oracle import random_signed_digraph
 
 
@@ -731,6 +732,23 @@ def test_preprocess_matches_set_reference(edges):
             if g.index[u] in keep and g.index[v] in keep]
         if config.keep_component == "giant" and pre.n_nodes:
             assert _weakly_connected(pre)
+
+
+@given(edges=sparse_edges)
+@settings(max_examples=100, deadline=None)
+def test_kept_giant_component_equals_a_fresh_one(edges):
+    # preprocess hands the graph it returns a giant component it did not
+    # compute on that graph; it must be the one largest_component gives
+    g = SignedDigraph([(str(u), str(v), s) for u, v, s in edges],
+                      nodes=[str(i) for i in range(16)])
+    for config in (PreprocessConfig(), PreprocessConfig(prune_pendants=False),
+                   PreprocessConfig(keep_component="all")):
+        pre = preprocess(g, config)
+        mask, count = giant_of(pre)
+        fresh, fresh_count = largest_component(pre.n_nodes, pre.src, pre.dst)
+        assert (mask.tolist(), count) == (fresh.tolist(), fresh_count)
+        assert not mask.flags.writeable
+        assert giant_of(pre)[0] is mask
 
 
 @given(seed=st.integers(0, 10**6))

@@ -79,7 +79,8 @@ class Source:
                       if hasattr(c, "co_lines")]
         self.headers: dict[int, Header] = {}
         source_lines = text.splitlines()
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
             if isinstance(node, ast.If):
                 kind = ("elif" if source_lines[node.lineno - 1].lstrip()
                         .startswith("elif") else "if")
@@ -97,7 +98,7 @@ class Source:
             for line in header.own:
                 self.headers[line] = header
         self.subprocess_only = set()
-        for node in ast.parse(text).body:
+        for node in tree.body:
             if (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
                     and ast.unparse(node.test) == "__name__ == '__main__'"):
                 self.subprocess_only |= set(range(node.body[0].lineno,
